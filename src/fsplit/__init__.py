@@ -14,6 +14,7 @@ from .artinian import (
     standard_monomials,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CostGuardExceeded,
     DivisionByZero,
@@ -84,7 +85,6 @@ from .poly import (
 )
 from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (
-    DEFAULT_BUDGET,
     SignatureEstimate,
     SplittingReport,
     dual_splitting_length,

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CostGuardExceeded, NotArtinian
+from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
 from .groebner import ReducedGB
-
-DEFAULT_BUDGET = 10**6
 
 
 def _minimalize(gens):

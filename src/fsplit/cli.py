@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .errors import BudgetExceeded, CostGuardExceeded, FsplitError, MissingFlag
+from .errors import DEFAULT_BUDGET, BudgetExceeded, CostGuardExceeded, FsplitError, MissingFlag
 from .localization import (
     CoordinatePrime,
     PrimeChain,
@@ -25,7 +25,6 @@ from .localization import (
 from .oracle import oracle_dual_splitting_length, oracle_length_mod_bracket
 from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (
-    DEFAULT_BUDGET,
     f_signature_sequence,
     gorenstein_splitting_number,
     normalized_splitting_number,

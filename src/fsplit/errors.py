@@ -6,6 +6,10 @@ mapping) can distinguish mathematical precondition failures from budget stops.
 
 from __future__ import annotations
 
+# Default bound shared by every cost guard: q^n on the main path and in
+# standard-monomial enumeration, matrix entries in the oracle.
+DEFAULT_BUDGET = 10**6
+
 
 class FsplitError(Exception):
     """Base class for all errors raised by this package."""

@@ -1,9 +1,19 @@
 """Buchberger's algorithm, reduced Groebner bases, and normal forms.
 
-The engine is deterministic end to end: fixed input order, normal pair
-selection (smallest lcm under the working order, ties by indices), fixed
-reducer scan order, and a final sort of the reduced basis by leading
-monomial. Identical inputs give byte-identical bases.
+Pairs are handled as in Gebauer and Moeller (1988). When a new element h
+arrives, its pairs (g, h) go through criterion M (drop a pair whose lcm is
+a proper multiple of another new pair's lcm) and criterion F (one pair per
+lcm, and none when some pair with that lcm has coprime leading monomials);
+criterion B then drops each old pair (i, j) whose lcm lead(h) divides while
+lcm(i, h) and lcm(j, h) both differ from it. Elements whose leading monomial
+lead(h) divides stay as reducers but get no new pairs.
+
+Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano and
+Traverso, 1991): smallest sugar degree first, ties broken by the lcm's key
+under the working order, then by the pair's indices. Inputs are taken in
+their given order, reducers are scanned in insertion order, and the reduced
+basis is sorted by leading monomial. That fixed tie order makes the engine
+deterministic: identical inputs give byte-identical bases.
 """
 
 from __future__ import annotations
@@ -54,13 +64,10 @@ def _merge_sub(a: list, b: list, field) -> list:
     return out
 
 
-def _scale_shift(terms: list, exps, coeff, field, keyf) -> list:
-    """coeff * x^exps * terms; order of terms is preserved by multiplicativity."""
-    out = []
-    for _, e, c in terms:
-        ne = _add_exps(e, exps)
-        out.append((keyf(ne), ne, field.mul(c, coeff)))
-    return out
+def _shift(terms: list, exps, keyf, key0: int) -> list:
+    """x^exps * terms; keys shift by one constant, so the order is preserved."""
+    delta = keyf(exps) - key0
+    return [(k + delta, _add_exps(e, exps), c) for k, e, c in terms]
 
 
 def _divides(a, b) -> bool:
@@ -193,58 +200,67 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
 
     basis: list[list] = []
     leads: list[tuple] = []
-    for g in gens:
-        t = _internal(g.monic(order), keyf)
-        t = _nf(t, basis, leads, field, keyf, key0)
-        if t:
-            ic = field.inv(t[0][2])
-            basis.append([(k, e, field.mul(c, ic)) for k, e, c in t])
-            leads.append(t[0][1])
-
+    sugar: list[int] = []
+    active: list[int] = []  # elements that still get new pairs
+    # heap of (sugar, lcm key, i, j, lcm); every entry is a live pair
     pairs: list[tuple] = []
-    pending: set[tuple] = set()
-    processed: set[tuple] = set()
 
-    def push_pairs(j: int):
-        for i in range(j):
-            l = _lcm(leads[i], leads[j])
-            heapq.heappush(pairs, (keyf(l), i, j))
-            pending.add((i, j))
+    def add(terms: list, s: int) -> None:
+        """Append a monic copy of ``terms`` and run the Gebauer-Moller update."""
+        ic = field.inv(terms[0][2])
+        h = len(basis)
+        lh = terms[0][1]
+        basis.append([(k, e, field.mul(c, ic)) for k, e, c in terms])
+        leads.append(lh)
+        sugar.append(s)
+        # new pairs (g, h): criterion M drops a pair whose lcm is a proper
+        # multiple of another new lcm; criterion F keeps one pair per lcm,
+        # and none when some pair with that lcm is coprime (it reduces to 0)
+        by_lcm: dict[tuple, list] = {}
+        for g in active:
+            lg = leads[g]
+            entry = by_lcm.setdefault(_lcm(lg, lh), [g, False])
+            if not any(x and y for x, y in zip(lg, lh)):
+                entry[1] = True
+        minimal: list[tuple] = []
+        fresh = []
+        for l in sorted(by_lcm, key=sum):  # proper divisors sort first
+            if any(_divides(m, l) for m in minimal):
+                continue
+            minimal.append(l)
+            g, coprime = by_lcm[l]
+            if not coprime:
+                s_gh = max(sugar[g] + sum(l) - sum(leads[g]), s + sum(l) - sum(lh))
+                fresh.append((s_gh, keyf(l), g, h, l))
+        # criterion B: h makes (i, j) redundant when lead(h) divides lcm(i, j)
+        # and lcm(i, h), lcm(j, h) are both proper divisors of it
+        kept = [
+            pr
+            for pr in pairs
+            if not _divides(lh, pr[4])
+            or _lcm(leads[pr[2]], lh) == pr[4]
+            or _lcm(leads[pr[3]], lh) == pr[4]
+        ]
+        kept.extend(fresh)
+        heapq.heapify(kept)
+        pairs[:] = kept
+        # elements whose lead h divides stay as reducers but get no new pairs
+        active[:] = [g for g in active if not _divides(lh, leads[g])]
+        active.append(h)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for g in gens:
+        t = _nf(_internal(g.monic(order), keyf), basis, leads, field, keyf, key0)
+        if t:
+            add(t, g.total_degree())
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
+        s, _, i, j, l = heapq.heappop(pairs)
         li, lj = leads[i], leads[j]
-        l = _lcm(li, lj)
-        # first criterion: coprime leading monomials
-        if all(x + y == m for x, y, m in zip(li, lj, l)):
-            continue
-        # chain criterion, citing only honestly processed pairs
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(leads[k], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in processed and pjk in processed:
-                    skip = True
-                    break
-        if skip:
-            continue
-        processed.add((i, j))
-        fi, fj = basis[i], basis[j]
-        a = _scale_shift(fi, tuple(x - y for x, y in zip(l, li)), field.one(), field, keyf)
-        b = _scale_shift(fj, tuple(x - y for x, y in zip(l, lj)), field.one(), field, keyf)
+        a = _shift(basis[i], tuple(x - y for x, y in zip(l, li)), keyf, key0)
+        b = _shift(basis[j], tuple(x - y for x, y in zip(l, lj)), keyf, key0)
         r = _nf(_merge_sub(a, b, field), basis, leads, field, keyf, key0)
         if r:
-            ic = field.inv(r[0][2])
-            basis.append([(k, e, field.mul(c, ic)) for k, e, c in r])
-            leads.append(r[0][1])
-            push_pairs(len(basis) - 1)
+            add(r, s)
 
     return _reduce_basis(ring, order, basis, leads)
 

@@ -8,6 +8,7 @@ division, asserted as a corruption detector.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, RingMismatch, ZeroDivisorColon
@@ -19,6 +20,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
+    _add_exps,
 )
 
 
@@ -84,37 +86,53 @@ def intersect(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
     gens = [aux * _lift(f, ext, 0) for f in I.nonzero_generators()]
     one_minus_aux = ext.one() - aux
     gens += [one_minus_aux * _lift(g, ext, 0) for g in J.nonzero_generators()]
-    if not gens:
-        return buchberger(IdealPresentation(ring, ()), GREVLEX)
     gb = buchberger(IdealPresentation(ext, gens))
     kept = [_project(g, ring) for g in gb.basis if g.leading_term(gb.order)[0][0] == 0]
-    return buchberger(IdealPresentation(ring, kept), GREVLEX) if kept else ReducedGB(
-        ring, GREVLEX, ()
-    )
+    return buchberger(IdealPresentation(ring, kept), GREVLEX)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises InternalInconsistency when division is not exact."""
+    """Exact quotient f/g; raises InternalInconsistency when division is not exact.
+
+    Long division with the remainder in a dict keyed by packed order key and
+    drained through a max-heap, so each step costs the length of g.
+    """
     ring = f.ring
     if g.ring != ring:
         raise RingMismatch("exact division across different rings")
     if g.is_zero():
         raise ZeroDivisorColon("division by the zero polynomial")
     field = ring.field
-    order = ring.order
-    eg, cg = g.leading_term(order)
+    keyf = ring.order.key
+    (eg, cg), tail = g.terms[0], [(keyf(e), e, c) for e, c in g.terms[1:]]
+    kg = keyf(eg)
     icg = field.inv(cg)
-    quo: dict = {}
-    r = f
-    while not r.is_zero():
-        er, cr = r.leading_term(order)
+    rem = {keyf(e): (e, c) for e, c in f.terms}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quo = []
+    while heap:
+        k = -heapq.heappop(heap)
+        er, cr = rem.pop(k)  # later steps only touch smaller monomials
+        if field.is_zero(cr):
+            continue
         m = tuple(x - y for x, y in zip(er, eg))
         if any(x < 0 for x in m):
             raise InternalInconsistency(f"{f} is not divisible by {g}")
         c = field.mul(cr, icg)
-        quo[m] = c
-        r = r - g.shift(m).scale(c)
-    return ring.from_terms(quo)
+        quo.append((m, c))
+        factor = field.neg(c)
+        delta = k - kg  # keys are affine: key(e + m) = key(e) + key(m) - key(0)
+        for kt, et, ct in tail:
+            nk = kt + delta
+            v = field.mul(ct, factor)
+            old = rem.get(nk)
+            if old is None:
+                rem[nk] = (_add_exps(et, m), v)
+                heapq.heappush(heap, -nk)
+            else:
+                rem[nk] = (old[0], field.add(old[1], v))
+    return Polynomial(ring, tuple(quo))  # keys popped in descending order
 
 
 def colon_ideal(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
@@ -129,9 +147,7 @@ def colon_ideal(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
     for f in jgens:
         inter = intersect(I, IdealPresentation(ring, (f,)))
         quotient = tuple(divide_exact(h, f) for h in inter.basis)
-        gb = buchberger(IdealPresentation(ring, quotient), GREVLEX) if quotient else ReducedGB(
-            ring, GREVLEX, ()
-        )
+        gb = buchberger(IdealPresentation(ring, quotient), GREVLEX)
         if result is None:
             result = gb
         else:

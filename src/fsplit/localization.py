@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FsplitError, MissingFlag, NotContaining
+from .errors import DEFAULT_BUDGET, FsplitError, MissingFlag, NotContaining
 from .fields import PrimeField, RatFunc, RationalFunctionField
 from .poly import GREVLEX, IdealPresentation, Ring
-from .splitting import DEFAULT_BUDGET, SplittingReport, normalized_splitting_number
+from .splitting import SplittingReport, normalized_splitting_number
 
 
 @dataclass(frozen=True)

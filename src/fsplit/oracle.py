@@ -11,11 +11,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceeded, FieldMismatch, NotHomogeneous
+from .errors import DEFAULT_BUDGET, BudgetExceeded, FieldMismatch, NotHomogeneous
 from .fields import PrimeField
 from .poly import IdealPresentation, Polynomial
-
-DEFAULT_BUDGET = 10**6
 
 
 def _require_prime_field(ring):

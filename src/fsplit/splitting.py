@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .artinian import is_artinian, krull_dimension, length
 from .errors import (
+    DEFAULT_BUDGET,
     CostGuardExceeded,
     InternalInconsistency,
     InvalidSocle,
@@ -32,10 +33,8 @@ from .errors import (
     NotGorenstein,
 )
 from .groebner import ReducedGB, buchberger, ideal_member, normal_form
-from .ideals import colon_ideal, frobenius_power, ideal_sum
+from .ideals import colon_ideal, divide_exact, frobenius_power, ideal_sum
 from .poly import GREVLEX, IdealPresentation, Polynomial, Ring
-
-DEFAULT_BUDGET = 10**6
 
 log = logging.getLogger("fsplit")
 
@@ -116,10 +115,18 @@ def _guard(ring: Ring, e: int, budget: int) -> int:
 
 
 def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
-    """K = (I^[q] : I), with (0^[q] : 0) = S for the zero ideal."""
+    """K = (I^[q] : I), with (0^[q] : 0) = S for the zero ideal.
+
+    For a principal I = (f), S is a domain, so (f^q : f) = (f^(q-1)) exactly
+    and no elimination is needed.
+    """
     ring = I.ring
-    if I.is_zero_ideal():
+    gens = I.nonzero_generators()
+    if not gens:
         return IdealPresentation(ring, (ring.one(),))
+    if len(gens) == 1:
+        f = gens[0]
+        return IdealPresentation(ring, (divide_exact(f.frobenius(e), f),))
     K = colon_ideal(frobenius_power(I, e), I)
     return K.presentation()
 
@@ -169,12 +176,8 @@ def normalized_splitting_number(
         raise InternalInconsistency(
             f"primal splitting length {lam} != dual splitting length {dual}"
         )
-    d = krull_dimension(buchberger(I, GREVLEX) if not I.is_zero_ideal() else _zero_gb(ring))
+    d = krull_dimension(buchberger(I, GREVLEX))
     return _make_report(ring, e, lam, d)
-
-
-def _zero_gb(ring: Ring) -> ReducedGB:
-    return ReducedGB(ring, GREVLEX, ())
 
 
 def _make_report(ring: Ring, e: int, lam: int, d: int) -> SplittingReport:
@@ -221,11 +224,11 @@ def socle_generator(I: IdealPresentation, sop) -> Polynomial:
     """
     ring = I.ring
     sop = tuple(sop)
-    d = krull_dimension(buchberger(I, GREVLEX) if not I.is_zero_ideal() else _zero_gb(ring))
+    d = krull_dimension(buchberger(I, GREVLEX))
     if len(sop) != d:
         raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
     A = ideal_sum(I, IdealPresentation(ring, sop))
-    GA = buchberger(A, GREVLEX) if not A.is_zero_ideal() else _zero_gb(ring)
+    GA = buchberger(A, GREVLEX)
     if not is_artinian(GA):
         raise NotArtinian("the parameter ideal does not cut down to dimension zero")
     if GA.is_unit_ideal():
@@ -249,7 +252,7 @@ def socle_generator(I: IdealPresentation, sop) -> Polynomial:
 def _check_socle(I: IdealPresentation, sop, u: Polynomial) -> None:
     ring = I.ring
     A = ideal_sum(I, IdealPresentation(ring, tuple(sop)))
-    GA = buchberger(A, GREVLEX) if not A.is_zero_ideal() else _zero_gb(ring)
+    GA = buchberger(A, GREVLEX)
     if normal_form(u, GA).is_zero():
         raise InvalidSocle("supplied socle element lies in the parameter ideal")
     for v in ring.gens():
@@ -277,7 +280,7 @@ def gorenstein_splitting_number(
     if u is None:
         u = socle_generator(I, sop)  # validates sop and Gorenstein-ness
     else:
-        d = krull_dimension(buchberger(I, GREVLEX) if not I.is_zero_ideal() else _zero_gb(ring))
+        d = krull_dimension(buchberger(I, GREVLEX))
         if len(sop) != d:
             raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
         socle_generator(I, sop)  # still certify the socle is one-dimensional

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fsplit import (
     GREVLEX,
     LEX,
+    MonomialOrder,
     PrimeField,
     RationalFunctionField,
     Ring,
@@ -87,25 +88,55 @@ def test_function_field_coefficients():
     assert ideal_member(y**2, gb)  # y^2 = y(tx + y) - t(xy)
 
 
-def _random_ideal(rng, ring, ngens=2, max_exp=3):
+def _random_ideal(rng, ring, ngens=2, max_exp=3, coefficient=None):
+    field = ring.field
+    if coefficient is None:
+        coefficient = lambda rng: field.from_int(rng.randrange(1, field.characteristic))
     gens = []
     for _ in range(ngens):
         terms = {}
         for _ in range(rng.randrange(1, 4)):
             exps = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
-            terms[exps] = ring.field.from_int(rng.randrange(1, ring.field.characteristic))
+            terms[exps] = coefficient(rng)
         g = ring.from_terms(terms)
         if not g.is_zero():
             gens.append(g)
     return ring.ideal(*gens)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_spoly_certificate_random(p):
-    ring = Ring(PrimeField(p), ("x", "y"))
+def _function_field_coefficient(field):
+    # c * t^k + d with c != 0: constants, monomials and binomials in t
+    t = field.transcendental("t")
+    p = field.characteristic
+
+    def draw(rng):
+        c = field.mul(field.from_int(rng.randrange(1, p)), field.pow(t, rng.randrange(3)))
+        return field.add(c, field.from_int(rng.randrange(p)))
+
+    return draw
+
+
+# Two variables under the ring's grevlex, and the shape intersect() builds:
+# one eliminated variable ahead of two kept ones under elimination(1).
+CERTIFICATE_CASES = [pytest.param(p, "grevlex", id=str(p)) for p in (2, 3, 5)] + [
+    pytest.param(p, "elim", id=f"elim-{p}") for p in (2, 3, 5)
+] + [pytest.param(3, "elim-fpt", id="elim-fpt-3")]
+
+
+@pytest.mark.parametrize("p, shape", CERTIFICATE_CASES)
+def test_spoly_certificate_random(p, shape):
+    coefficient, ngens = None, 3
+    if shape == "grevlex":
+        ring, ngens = Ring(PrimeField(p), ("x", "y")), 2
+    elif shape == "elim":
+        ring = Ring(PrimeField(p), ("w", "x", "y"), MonomialOrder.elimination(1))
+    else:
+        field = RationalFunctionField(p, ("t",))
+        ring = Ring(field, ("w", "x", "y"), MonomialOrder.elimination(1))
+        coefficient = _function_field_coefficient(field)
     rng = random.Random(p)
     for _ in range(15):
-        gb = buchberger(_random_ideal(rng, ring))
+        gb = buchberger(_random_ideal(rng, ring, ngens, coefficient=coefficient))
         validate_reduced_gb(gb)
         for i in range(len(gb.basis)):
             for j in range(i + 1, len(gb.basis)):

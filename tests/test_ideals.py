@@ -9,6 +9,7 @@ import pytest
 from fsplit import (
     InternalInconsistency,
     PrimeField,
+    RationalFunctionField,
     Ring,
     ZeroDivisorColon,
     bracket_power,
@@ -20,6 +21,7 @@ from fsplit import (
     ideal_sum,
     intersect,
 )
+from fsplit.splitting import _colon_multiplier
 
 R2 = Ring(PrimeField(2), ("x", "y"))
 R5 = Ring(PrimeField(5), ("x", "y"))
@@ -104,6 +106,23 @@ def test_hypersurface_colon_law(p, expr_e):
         got = colon_ideal(frobenius_power(ring.ideal(f), expr_e), ring.ideal(f))
         want = buchberger(ring.ideal(f ** (q - 1)))
         assert same_ideal(got, want), (p, expr_e, str(f))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2])
+def test_principal_colon_multiplier_closed_form(p, e):
+    # K = (f^(q-1)) from _colon_multiplier against the elimination route, on
+    # the corpus of test_hypersurface_colon_law and one F_p(t) generator
+    ring = Ring(PrimeField(p), ("x", "y"))
+    x, y = ring.gens()
+    fpt = Ring(RationalFunctionField(p, ("t",)), ("x", "y"))
+    u, v = fpt.gens()
+    t = fpt.constant(fpt.field.transcendental("t"))
+    for f in [x, x * y, x + y, y**2 - x**3, x**2 - y**2, v**2 - t * u**3]:
+        I = f.ring.ideal(f)
+        got = buchberger(_colon_multiplier(I, e))
+        want = colon_ideal(frobenius_power(I, e), I)
+        assert same_ideal(got, want), (p, e, str(f))
 
 
 def test_containment_properties():

@@ -21,22 +21,40 @@ from __future__ import annotations
 import heapq
 
 from .errors import InternalInconsistency, RingMismatch
-from .poly import IdealPresentation, MonomialOrder, Polynomial, Ring, _add_exps
+from .poly import (
+    IdealPresentation,
+    MonomialOrder,
+    Polynomial,
+    Ring,
+    guard_mask,
+    pack,
+    packed_overflow,
+    unpack,
+)
 
-# Packed order keys are affine in the exponents: key(a + b) = key(a) + key(b)
-# - key(0). Reduction loops exploit this to shift keys with one integer add.
-
-# Internal working form: list of (key, exps, coeff), strictly descending by key.
+# Internal working form: list of (key, packed monomial, coeff), strictly
+# descending by key. Monomials are packed as in ``poly.pack``: 17 bits per
+# variable, 16 value bits under a guard bit. With G the ring's guard mask, a
+# lead b divides a term a iff ((a | G) - b) & G == G, the cofactor is a - b,
+# and a product a + s overflows iff (a + s) & G is nonzero. Packed order keys
+# are affine in the exponents, key(a + b) = key(a) + key(b) - key(0), so a
+# reduction step shifts keys by (term key - lead key) with one integer add and
+# never calls the order's key function. Leading exponents for the pair
+# bookkeeping (lcm, coprimality, sugar, criteria B, M and F) stay tuples.
 
 
 def _internal(f: Polynomial, keyf) -> list:
-    terms = [(keyf(e), e, c) for e, c in f.terms]
+    terms = [(keyf(e), pack(e), c) for e, c in f.terms]
     terms.sort(key=lambda t: t[0], reverse=True)
     return terms
 
 
-def _to_poly(ring: Ring, terms: list) -> Polynomial:
-    return ring.from_terms({e: c for _, e, c in terms})
+def _to_poly(ring: Ring, order: MonomialOrder, terms: list) -> Polynomial:
+    n = ring.nvars
+    if order == ring.order:
+        # already sorted by the ring order, distinct, nonzero and in range
+        return Polynomial(ring, tuple((unpack(m, n), c) for _, m, c in terms))
+    return ring.from_terms({unpack(m, n): c for _, m, c in terms})
 
 
 def _merge_sub(a: list, b: list, field) -> list:
@@ -64,10 +82,15 @@ def _merge_sub(a: list, b: list, field) -> list:
     return out
 
 
-def _shift(terms: list, exps, keyf, key0: int) -> list:
-    """x^exps * terms; keys shift by one constant, so the order is preserved."""
-    delta = keyf(exps) - key0
-    return [(k + delta, _add_exps(e, exps), c) for k, e, c in terms]
+def _shift(terms: list, shift: int, delta: int, guard: int) -> list:
+    """x^shift * terms for a packed shift whose keys move by delta; order is kept."""
+    out = []
+    for k, m, c in terms:
+        ms = m + shift
+        if ms & guard:
+            raise packed_overflow(m, shift, guard)
+        out.append((k + delta, ms, c))
+    return out
 
 
 def _divides(a, b) -> bool:
@@ -77,8 +100,8 @@ def _divides(a, b) -> bool:
     return True
 
 
-def _nf(terms: list, basis: list, leads: list, field, keyf, key0: int) -> list:
-    """Full normal form of a working term list against (basis, leads).
+def _nf(terms: list, basis: list, leads: list, field, guard: int) -> list:
+    """Full normal form of a working term list against (basis, packed leads).
 
     Terms live in a dict keyed by packed order key, drained through a lazy
     max-heap, so each reduction step costs the reducer's length rather than
@@ -106,19 +129,23 @@ def _nf(terms: list, basis: list, leads: list, field, keyf, key0: int) -> list:
         if c is None or is_zero(c):
             continue  # stale heap entry
         e = exps_of[k]
-        for le, g in zip(leads, basis):
-            if _divides(le, e):
-                shift = tuple(x - y for x, y in zip(e, le))
-                delta = keyf(shift) - key0
+        eg = e | guard
+        for lm, g in zip(leads, basis):
+            if (eg - lm) & guard == guard:
+                shift = e - lm
+                delta = k - g[0][0]
                 factor = fneg(c)  # reducer is monic; cancel the top term
                 coeffs[k] = zero
-                for kg, ge, gc in g[1:]:
+                for kg, gm, gc in g[1:]:
+                    m = gm + shift
+                    if m & guard:
+                        raise packed_overflow(gm, shift, guard)
                     nk = kg + delta
                     v = fmul(gc, factor)
                     old = get(nk)
                     if old is None:
                         coeffs[nk] = v
-                        exps_of[nk] = _add_exps(ge, shift)
+                        exps_of[nk] = m
                         push(heap, -nk)
                     else:
                         coeffs[nk] = fadd(old, v)
@@ -195,11 +222,13 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
         ring = gens[0].ring
     order = order or ring.order
     keyf = order.key
-    key0 = keyf((0,) * ring.nvars)
+    nvars = ring.nvars
+    guard = guard_mask(nvars)
     field = ring.field
 
     basis: list[list] = []
     leads: list[tuple] = []
+    packed: list[int] = []  # leads[i], packed
     sugar: list[int] = []
     active: list[int] = []  # elements that still get new pairs
     # heap of (sugar, lcm key, i, j, lcm); every entry is a live pair
@@ -209,9 +238,10 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
         """Append a monic copy of ``terms`` and run the Gebauer-Moller update."""
         ic = field.inv(terms[0][2])
         h = len(basis)
-        lh = terms[0][1]
-        basis.append([(k, e, field.mul(c, ic)) for k, e, c in terms])
+        lh = unpack(terms[0][1], nvars)
+        basis.append([(k, m, field.mul(c, ic)) for k, m, c in terms])
         leads.append(lh)
+        packed.append(terms[0][1])
         sugar.append(s)
         # new pairs (g, h): criterion M drops a pair whose lcm is a proper
         # multiple of another new lcm; criterion F keeps one pair per lcm,
@@ -249,41 +279,42 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
         active.append(h)
 
     for g in gens:
-        t = _nf(_internal(g.monic(order), keyf), basis, leads, field, keyf, key0)
+        t = _nf(_internal(g.monic(order), keyf), basis, packed, field, guard)
         if t:
             add(t, g.total_degree())
 
     while pairs:
-        s, _, i, j, l = heapq.heappop(pairs)
-        li, lj = leads[i], leads[j]
-        a = _shift(basis[i], tuple(x - y for x, y in zip(l, li)), keyf, key0)
-        b = _shift(basis[j], tuple(x - y for x, y in zip(l, lj)), keyf, key0)
-        r = _nf(_merge_sub(a, b, field), basis, leads, field, keyf, key0)
+        s, kl, i, j, l = heapq.heappop(pairs)
+        pl = pack(l)
+        a = _shift(basis[i], pl - packed[i], kl - basis[i][0][0], guard)
+        b = _shift(basis[j], pl - packed[j], kl - basis[j][0][0], guard)
+        r = _nf(_merge_sub(a, b, field), basis, packed, field, guard)
         if r:
             add(r, s)
 
-    return _reduce_basis(ring, order, basis, leads)
+    return _reduce_basis(ring, order, basis, packed, guard)
 
 
-def _reduce_basis(ring: Ring, order: MonomialOrder, basis: list, leads: list) -> ReducedGB:
+def _reduce_basis(
+    ring: Ring, order: MonomialOrder, basis: list, packed: list, guard: int
+) -> ReducedGB:
     field = ring.field
-    keyf = order.key
-    key0 = keyf((0,) * ring.nvars)
-    order_idx = sorted(range(len(basis)), key=lambda i: keyf(leads[i]))
+    order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
     kept: list[int] = []
     for i in order_idx:
-        if not any(_divides(leads[j], leads[i]) for j in kept):
+        lg = packed[i] | guard
+        if not any((lg - packed[j]) & guard == guard for j in kept):
             kept.append(i)
     polys = [basis[i] for i in kept]
-    lexps = [leads[i] for i in kept]
+    lexps = [packed[i] for i in kept]
     for i in range(len(polys)):
         others = polys[:i] + polys[i + 1 :]
         olead = lexps[:i] + lexps[i + 1 :]
-        r = _nf(polys[i], others, olead, field, keyf, key0)
+        r = _nf(polys[i], others, olead, field, guard)
         if not r or r[0][1] != lexps[i]:
             raise InternalInconsistency("interreduction destroyed a leading term")
         polys[i] = r
-    return ReducedGB(ring, order, tuple(_to_poly(ring, t) for t in polys))
+    return ReducedGB(ring, order, tuple(_to_poly(ring, order, t) for t in polys))
 
 
 def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:
@@ -293,11 +324,10 @@ def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:
     if not gb.basis or f.is_zero():
         return f
     keyf = gb.order.key
-    key0 = keyf((0,) * gb.ring.nvars)
-    field = gb.ring.field
     basis = [_internal(g, keyf) for g in gb.basis]
-    r = _nf(_internal(f, keyf), basis, list(gb.lead_exponents), field, keyf, key0)
-    return _to_poly(gb.ring, r)
+    leads = [g[0][1] for g in basis]
+    r = _nf(_internal(f, keyf), basis, leads, gb.ring.field, guard_mask(gb.ring.nvars))
+    return _to_poly(gb.ring, gb.order, r)
 
 
 def ideal_member(f: Polynomial, gb: ReducedGB) -> bool:

@@ -20,7 +20,10 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
-    _add_exps,
+    guard_mask,
+    pack,
+    packed_overflow,
+    unpack,
 )
 
 
@@ -95,7 +98,9 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g; raises InternalInconsistency when division is not exact.
 
     Long division with the remainder in a dict keyed by packed order key and
-    drained through a max-heap, so each step costs the length of g.
+    drained through a max-heap, so each step costs the length of g. Monomials
+    are packed as in ``poly.pack``, so the divisibility test, the cofactor and
+    each product with its overflow check are integer operations.
     """
     ring = f.ring
     if g.ring != ring:
@@ -104,10 +109,11 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisorColon("division by the zero polynomial")
     field = ring.field
     keyf = ring.order.key
-    (eg, cg), tail = g.terms[0], [(keyf(e), e, c) for e, c in g.terms[1:]]
-    kg = keyf(eg)
+    guard = guard_mask(ring.nvars)
+    (eg, cg), tail = g.terms[0], [(keyf(e), pack(e), c) for e, c in g.terms[1:]]
+    kg, mg = keyf(eg), pack(eg)
     icg = field.inv(cg)
-    rem = {keyf(e): (e, c) for e, c in f.terms}
+    rem = {keyf(e): (pack(e), c) for e, c in f.terms}
     heap = [-k for k in rem]
     heapq.heapify(heap)
     quo = []
@@ -116,23 +122,28 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         er, cr = rem.pop(k)  # later steps only touch smaller monomials
         if field.is_zero(cr):
             continue
-        m = tuple(x - y for x, y in zip(er, eg))
-        if any(x < 0 for x in m):
+        if ((er | guard) - mg) & guard != guard:
             raise InternalInconsistency(f"{f} is not divisible by {g}")
+        m = er - mg
         c = field.mul(cr, icg)
         quo.append((m, c))
         factor = field.neg(c)
         delta = k - kg  # keys are affine: key(e + m) = key(e) + key(m) - key(0)
         for kt, et, ct in tail:
+            em = et + m
+            if em & guard:
+                raise packed_overflow(et, m, guard)
             nk = kt + delta
             v = field.mul(ct, factor)
             old = rem.get(nk)
             if old is None:
-                rem[nk] = (_add_exps(et, m), v)
+                rem[nk] = (em, v)
                 heapq.heappush(heap, -nk)
             else:
                 rem[nk] = (old[0], field.add(old[1], v))
-    return Polynomial(ring, tuple(quo))  # keys popped in descending order
+    n = ring.nvars
+    # keys were popped in descending order, so the quotient is already sorted
+    return Polynomial(ring, tuple((unpack(m, n), c) for m, c in quo))
 
 
 def colon_ideal(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:

@@ -21,38 +21,12 @@ def _require_prime_field(ring):
         raise FieldMismatch("the oracle only supports F_p coefficients")
 
 
-def _rank_mod_p(rows: list, ncols: int, p: int, budget: int) -> int:
-    """Row rank over F_p with first-nonzero pivoting; deterministic."""
-    if not rows:
-        return 0
-    if len(rows) * ncols > budget:
-        raise BudgetExceeded(f"{len(rows)}x{ncols} matrix exceeds budget {budget}")
-    M = np.array(rows, dtype=np.int64) % p
-    nrows = M.shape[0]
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if M[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            M[[rank, pivot]] = M[[pivot, rank]]
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank] = M[rank] * inv % p
-        factors = M[rank + 1 :, col].copy()
-        if factors.any():
-            M[rank + 1 :] = (M[rank + 1 :] - np.outer(factors, M[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def _rref_mod_p(rows: list, ncols: int, p: int, budget: int):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Pivots are the first nonzero entry from the top, so the result is
+    deterministic; the rank is the number of pivots.
+    """
     if not rows:
         return np.zeros((0, ncols), dtype=np.int64), []
     if len(rows) * ncols > budget:
@@ -62,20 +36,18 @@ def _rref_mod_p(rows: list, ncols: int, p: int, budget: int):
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if M[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        below = np.flatnonzero(M[rank:, col])
+        if not below.size:
             continue
+        pivot = rank + int(below[0])
         if pivot != rank:
             M[[rank, pivot]] = M[[pivot, rank]]
         inv = pow(int(M[rank, col]), p - 2, p)
         M[rank] = M[rank] * inv % p
-        others = [r for r in range(nrows) if r != rank and M[r, col]]
-        for r in others:
-            M[r] = (M[r] - M[r, col] * M[rank]) % p
+        others = np.flatnonzero(M[:, col])
+        others = others[others != rank]
+        if others.size:
+            M[others] = (M[others] - np.outer(M[others, col], M[rank])) % p
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -138,7 +110,7 @@ def oracle_length_mod_bracket(
                     nonzero = True
             if nonzero and any(row):
                 rows.append(row)
-    return qn - _rank_mod_p(rows, qn, p, budget)
+    return qn - len(_rref_mod_p(rows, qn, p, budget)[1])
 
 
 def _degree_monomials(n: int, d: int):
@@ -242,4 +214,4 @@ def oracle_dual_splitting_length(
                     nonzero = True
             if nonzero:
                 image_rows.append(row)
-    return _rank_mod_p(image_rows, qn, p, budget)
+    return len(_rref_mod_p(image_rows, qn, p, budget)[1])

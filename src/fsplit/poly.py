@@ -4,6 +4,22 @@ Monomials are exponent tuples with 16-bit entries (checked: bracket powers
 multiply exponents by q and must fail loudly instead of wrapping). Orders
 compare via packed integer keys so term sorting and Buchberger's pair
 selection ride on native int comparison.
+
+The reduction engines (``groebner``'s working form and ``ideals.divide_exact``)
+pack a monomial into one integer instead, as in Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations" (ISSAC 1998):
+variable i owns bits [17i, 17i + 17), 16 value bits plus a guard bit on top,
+which is zero in every valid packed monomial. With ``G = guard_mask(nvars)``,
+the guard bits of all fields:
+
+* b divides a iff ``((a | G) - b) & G == G``: each field borrows from its own
+  guard bit exactly when b's exponent exceeds a's, and never from the next;
+* a product is ``a + b`` (fields are below 2^16, so no carry crosses a
+  field), and it overflows iff ``(a + b) & G`` is nonzero;
+* when b divides a, the quotient is ``a - b``.
+
+Polynomial terms, leading-exponent lists and the pair bookkeeping of
+Buchberger's algorithm (lcm, coprimality, sugar, criteria) stay tuples.
 """
 
 from __future__ import annotations
@@ -181,6 +197,41 @@ class Ring:
     def variable_ideal(self) -> "IdealPresentation":
         """The ideal of all ring variables (the maximal ideal at the origin)."""
         return IdealPresentation(self, self.gens())
+
+
+_FIELD_BITS = _SHIFT + 1  # packed monomials: 16 value bits and a guard bit per variable
+
+
+def guard_mask(nvars: int) -> int:
+    """The guard bits of a packed monomial in ``nvars`` variables."""
+    return sum(EXPONENT_LIMIT << (_FIELD_BITS * i) for i in range(nvars))
+
+
+def pack(exps) -> int:
+    """Pack an exponent tuple (entries below 2^16) into one integer."""
+    m = 0
+    for a in reversed(exps):
+        m = (m << _FIELD_BITS) | a
+    return m
+
+
+def unpack(m: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial with clear guard bits."""
+    out = []
+    for _ in range(nvars):
+        out.append(m & _MASK)
+        m >>= _FIELD_BITS
+    return tuple(out)
+
+
+def packed_overflow(a: int, b: int, guard: int) -> ExponentOverflow:
+    """The error for a packed product ``a + b`` that set a guard bit.
+
+    The message shows the true exponents of the product, not wrapped fields.
+    """
+    nvars = guard.bit_length() // _FIELD_BITS
+    out = tuple(x + y for x, y in zip(unpack(a, nvars), unpack(b, nvars)))
+    return ExponentOverflow(f"monomial product overflows 16-bit exponents: {out}")
 
 
 def _add_exps(a, b):

@@ -13,8 +13,10 @@ s_e = lambda / q^dim as an exact rational, and a_e = s_e * q^(dim + alpha).
 Everything is anchored at the origin: computations happen in the graded
 polynomial ring, which for this input class is taken to agree with the
 corresponding local computation; that assumption is recorded here rather
-than re-derived per call. A Gorenstein route through a system of parameters
-and a socle generator is provided as an independent cross-check.
+than re-derived per call. A proper ideal with a generator that has a nonzero
+constant term does not vanish at the origin, so the splitting and socle entry
+points reject it with NotContaining. A Gorenstein route through a system of
+parameters and a socle generator is provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     InternalInconsistency,
     InvalidSocle,
     NotArtinian,
+    NotContaining,
     NotGorenstein,
 )
 from .groebner import ReducedGB, buchberger, ideal_member, normal_form
@@ -114,6 +117,18 @@ def _guard(ring: Ring, e: int, budget: int) -> int:
     return q
 
 
+def _require_origin(I: IdealPresentation) -> None:
+    """Reject a proper I that is not inside n, so the origin is not on V(I).
+
+    1 is the smallest monomial under every order, so a generator has a
+    constant term iff its last term is constant. The unit ideal passes here
+    and fails later as NotArtinian.
+    """
+    if any(not any(g.terms[-1][0]) for g in I.nonzero_generators()):
+        if not buchberger(I, GREVLEX).is_unit_ideal():
+            raise NotContaining(f"{I} is not contained in the ideal of the origin")
+
+
 def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
     """K = (I^[q] : I), with (0^[q] : 0) = S for the zero ideal.
 
@@ -136,6 +151,7 @@ def _with_multiplier(I: IdealPresentation, e: int, budget: int):
         raise ValueError("e must be nonnegative")
     ring = I.ring
     q = _guard(ring, e, budget)
+    _require_origin(I)
     nq = frobenius_power(ring.variable_ideal(), e)
     return ring, q, nq, _colon_multiplier(I, e)
 
@@ -224,6 +240,7 @@ def socle_generator(I: IdealPresentation, sop) -> Polynomial:
     """
     ring = I.ring
     sop = tuple(sop)
+    _require_origin(I)
     d = krull_dimension(buchberger(I, GREVLEX))
     if len(sop) != d:
         raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
@@ -277,6 +294,7 @@ def gorenstein_splitting_number(
     ring = I.ring
     sop = tuple(sop)
     q = _guard(ring, e, budget)
+    _require_origin(I)
     if u is None:
         u = socle_generator(I, sop)  # validates sop and Gorenstein-ness
     else:

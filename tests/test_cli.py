@@ -144,6 +144,13 @@ def test_gorenstein_not_gorenstein_exit_2(tmp_path, capsys):
     assert code == 2 and "socle" in err
 
 
+def test_se_ideal_off_the_origin_exit_2(tmp_path, capsys):
+    path = tmp_path / "line.ring"
+    path.write_text("char = 3\nvars = x, y\nideal = x - 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "se", str(path), "--e", "1")
+    assert code == 2 and out == "" and "not contained" in err
+
+
 def test_oracle_hidden_command(files, capsys):
     code, out, _ = run(
         capsys, "oracle", files["node2"], "--e", "1", "--mode", "dual-length", "--no-timestamp"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fsplit import (
     GREVLEX,
     LEX,
+    ExponentOverflow,
     MonomialOrder,
     PrimeField,
     RationalFunctionField,
@@ -86,6 +87,30 @@ def test_function_field_coefficients():
     gb = buchberger(R.ideal(t * x + y, x * y))
     validate_reduced_gb(gb)
     assert ideal_member(y**2, gb)  # y^2 = y(tx + y) - t(xy)
+
+
+RLEX = Ring(PrimeField(5), ("x", "y"), LEX)
+
+
+def test_buchberger_exponent_overflow_shows_true_exponents():
+    x, y = RLEX.gens()
+    # reducing the input x^2 by x - y^40000 reaches y^80000
+    with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
+        buchberger(RLEX.ideal(x - y**40000, x**2))
+    # the S-pair of x*y^30000 and x - y^40000 shifts y^40000 by y^30000
+    with pytest.raises(ExponentOverflow, match=r"\(0, 70000\)"):
+        buchberger(RLEX.ideal(x * y**30000, x - y**40000))
+
+
+def test_normal_form_exponent_overflow_shows_true_exponents():
+    x, y = RLEX.gens()
+    gb = buchberger(RLEX.ideal(x - y**40000))
+    with pytest.raises(ExponentOverflow, match=r"\(0, 70000\)"):
+        normal_form(x * y**30000, gb)
+    # y^80000 has the lex key of x*y^14464, a term already present: the
+    # overflow must raise rather than merge into that term
+    with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
+        normal_form(x**2 + x * y**14464, gb)
 
 
 def _random_ideal(rng, ring, ngens=2, max_exp=3, coefficient=None):

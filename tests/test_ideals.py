@@ -7,6 +7,8 @@ import random
 import pytest
 
 from fsplit import (
+    LEX,
+    ExponentOverflow,
     InternalInconsistency,
     PrimeField,
     RationalFunctionField,
@@ -179,3 +181,13 @@ def test_divide_exact_detects_corruption():
     assert divide_exact((x + y) * (x - y), x + y) == x - y
     with pytest.raises(InternalInconsistency):
         divide_exact(x**2 + y, x)
+
+
+def test_divide_exact_exponent_overflow_shows_true_exponents():
+    ring = Ring(PrimeField(5), ("x", "y"), LEX)
+    x, y = ring.gens()
+    # the second quotient term y^40000 times the tail y^40000 leaves the range
+    with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
+        divide_exact(x**2, x - y**40000)
+    with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
+        divide_exact(x**2 + x * y**14464, x - y**40000)

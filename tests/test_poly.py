@@ -17,6 +17,8 @@ from fsplit import (
     RingMismatch,
     poly_arith,
 )
+from fsplit.groebner import _divides
+from fsplit.poly import EXPONENT_LIMIT, guard_mask, pack, packed_overflow, unpack
 
 R2 = Ring(PrimeField(2), ("x", "y"))
 R5 = Ring(PrimeField(5), ("x", "y"))
@@ -53,6 +55,45 @@ def test_exponent_overflow():
         f * f
     with pytest.raises(ExponentOverflow):
         x.frobenius(17)  # 2^17 > 16-bit range
+
+
+# exponents near both ends of the 16-bit range, so divisibility goes both ways
+packed_exps = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        *[st.one_of(st.integers(0, 3), st.integers(EXPONENT_LIMIT - 4, EXPONENT_LIMIT - 1),
+                    st.integers(0, EXPONENT_LIMIT - 1)) for _ in range(n)]
+    )
+)
+
+
+def test_pack_roundtrip_at_the_range_ends():
+    top = EXPONENT_LIMIT - 1
+    for n in range(5):
+        for e in ((0,) * n, (top,) * n, tuple(range(n))):
+            assert unpack(pack(e), n) == e
+    assert guard_mask(0) == 0 and pack(()) == 0
+
+
+@given(packed_exps, st.data())
+def test_packed_divisibility_and_products_match_tuples(a, data):
+    n = len(a)
+    b = data.draw(st.one_of(
+        st.tuples(*[st.integers(0, x) for x in a]),  # a divisor of a
+        packed_exps.filter(lambda e: len(e) == n),
+    ))
+    G = guard_mask(n)
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa, n) == a
+    assert (((pa | G) - pb) & G == G) == _divides(b, a)
+    if _divides(b, a):
+        assert unpack(pa - pb, n) == tuple(x - y for x, y in zip(a, b))
+    total = tuple(x + y for x, y in zip(a, b))
+    if any(x >= EXPONENT_LIMIT for x in total):
+        assert (pa + pb) & G
+        assert str(total) in str(packed_overflow(pa, pb, G))
+    else:
+        assert not (pa + pb) & G
+        assert unpack(pa + pb, n) == total
 
 
 def test_frobenius_on_polynomials():

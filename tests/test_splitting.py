@@ -10,6 +10,7 @@ from fsplit import (
     CostGuardExceeded,
     InvalidSocle,
     NotArtinian,
+    NotContaining,
     NotGorenstein,
     PrimeField,
     Ring,
@@ -67,6 +68,31 @@ def test_unit_ideal_rejected_cleanly():
     x2, _ = R2.gens()
     with pytest.raises(NotArtinian):
         normalized_splitting_number(R2.ideal(x2, x2 + 1), 1)
+
+
+R3 = Ring(PrimeField(3), ("x", "y"))
+
+
+def test_ideal_off_the_origin_rejected():
+    x, y = R3.gens()
+    I = R3.ideal(x - 1)  # V(I) misses the origin, so s_e is undefined there
+    for route in (normalized_splitting_number, splitting_ideal, dual_splitting_length):
+        with pytest.raises(NotContaining):
+            route(I, 1)
+    with pytest.raises(NotContaining):
+        gorenstein_splitting_number(I, (y,), 1)
+    with pytest.raises(NotContaining):
+        gorenstein_splitting_number(I, (y,), 1, u=R3.one())
+    with pytest.raises(NotContaining):
+        socle_generator(I, (y,))
+
+
+def test_ideal_through_the_origin_not_rejected():
+    # (x, y) cap (x - 1): no generator has a constant term, so the check
+    # passes; the local dimension at the origin is a separate open defect
+    x, y = R3.gens()
+    rep = normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1)
+    assert isinstance(rep, SplittingReport)
 
 
 def test_s_zero_is_one_everywhere():

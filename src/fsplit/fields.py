@@ -6,6 +6,25 @@ F_p are plain residues in [0, p); elements of F_p(t...) are RatFunc fractions
 in canonical form: gcd(numerator, denominator) = 1, denominator monic under
 grevlex on the transcendentals, zero represented uniquely as 0/1. Canonical
 form makes structural equality valid, which everything downstream relies on.
+
+Most operands met in practice have a one-term numerator or denominator (a
+monomial c*t^e, most often the constant 1), so the helpers for polynomials in
+the transcendentals take exact single-term cases before the general code:
+
+- ``_tp_gcd`` with a one-term argument c*t^e and a nonzero f returns t^g, g the
+  componentwise minimum of e and every exponent of f. The t_i are the only
+  primes dividing a monomial, so every divisor of c*t^e is a unit times a
+  monomial, and t^g divides f exactly when g is at most each exponent of f.
+  t^g is monic, the normalization the pseudo-remainder sequence returns.
+- ``_tp_divexact`` by a one-term divisor c*t^e shifts every exponent down by e
+  and multiplies by 1/c. Multiplying by a monomial maps terms to terms one to
+  one, so the quotient exists exactly when no shifted exponent is negative,
+  and ``None`` is returned otherwise.
+- ``_tp_lead`` and ``_freeze`` of a one-term dict return its only term, with no
+  grevlex key and no sort.
+
+Each case gives the same dict or tuple as the general code, so canonical
+forms do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -56,6 +75,8 @@ def _tp_grevlex(e):
 
 
 def _tp_lead(a):
+    if len(a) == 1:
+        return next(iter(a.items()))
     e = max(a, key=_tp_grevlex)
     return e, a[e]
 
@@ -114,6 +135,14 @@ def _tp_divexact(a, b, p):
         return {}
     eb, cb = _tp_lead(b)
     ib = pow(cb, p - 2, p)
+    if len(b) == 1:
+        q = {}
+        for e, c in a.items():
+            m = tuple(x - y for x, y in zip(e, eb))
+            if any(x < 0 for x in m):
+                return None
+            q[m] = c * ib % p
+        return q
     q = {}
     r = dict(a)
     while r:
@@ -211,10 +240,9 @@ def _tp_gcd(a, b, p):
         return _tp_monic(b, p)
     if not b:
         return _tp_monic(a, p)
-    arity = len(next(iter(a)))
-    if arity == 0:
-        return {(): 1}
-    if arity == 1:
+    if len(a) == 1 or len(b) == 1:
+        return {tuple(map(min, zip(*a, *b))): 1}
+    if len(next(iter(a))) == 1:
         return _tp_univar_gcd(a, b, p)
     ca, pa = _tp_content_pp(a, p)
     cb, pb = _tp_content_pp(b, p)
@@ -269,6 +297,8 @@ class RatFunc:
 
 
 def _freeze(d):
+    if len(d) == 1:
+        return tuple(d.items())
     return tuple(sorted(d.items(), key=lambda item: _tp_grevlex(item[0]), reverse=True))
 
 
@@ -352,6 +382,9 @@ class PrimeField(FieldDescriptor):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, k: int):
+        """a^k; a^(-k) is inv(a)^k, so 0^(-k) raises DivisionByZero."""
+        if k < 0:
+            a, k = self.inv(a), -k
         return pow(a, k, self.characteristic)
 
     def frobenius(self, a, e: int):
@@ -463,6 +496,9 @@ class RationalFunctionField(FieldDescriptor):
         return self._canonical(num, den)
 
     def pow(self, a, k: int):
+        """a^k; a^(-k) is inv(a)^k, so 0^(-k) raises DivisionByZero."""
+        if k < 0:
+            a, k = self.inv(a), -k
         out = self._one
         base = a
         while k:

@@ -16,11 +16,14 @@ from fsplit import (
     field_arith,
     frobenius_map,
 )
+from fsplit.fields import _tp_divexact, _tp_gcd, _tp_mul
 
 F5 = PrimeField(5)
 F2T = RationalFunctionField(2, ("t",))
 F3T = RationalFunctionField(3, ("t",))
 F3TT = RationalFunctionField(3, ("t1", "t2"))
+F5TTT = RationalFunctionField(5, ("t1", "t2", "t3"))
+SHORTCUT_FIELDS = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
 
 
 def rf(field, num, den=None):
@@ -151,3 +154,68 @@ def test_two_transcendentals_canonical(a):
 @given(st.integers(0, 4), st.integers(0, 4))
 def test_prime_field_frobenius_fixes_everything(a, e):
     assert frobenius_map(F5, a, e) == a
+
+
+def test_negative_powers_are_inverse_powers():
+    assert F5.pow(2, -1) == F5.inv(2) == 3
+    assert F5.pow(2, -2) == F5.mul(3, 3)
+    t = F3T.transcendental("t")
+    u = F3T.add(t, F3T.one())
+    assert F3T.pow(u, -1) == F3T.inv(u)
+    assert F3T.pow(u, -2) == F3T.inv(F3T.mul(u, u))
+    for field in (F5, F3T):
+        with pytest.raises(DivisionByZero):
+            field.pow(field.zero(), -1)
+
+
+@st.composite
+def tpolys(draw, p, m, max_terms, max_exp=3):
+    """A nonzero polynomial in m transcendentals over F_p, as a term dict."""
+    return draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * m),
+        st.integers(1, p - 1),
+        min_size=1,
+        max_size=max_terms,
+    ))
+
+
+def _one_plus_t1(m):
+    return {(0,) * m: 1, (1,) + (0,) * (m - 1): 1}
+
+
+@pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
+@given(data=st.data())
+def test_single_term_gcd_matches_prs(p, m, data):
+    # gcd(a*c, b*c) = c*gcd(a, b) with c = 1 + t1 sends both arguments through
+    # the general gcd. Multi-term f only up to two transcendentals: the general
+    # gcd is too slow on random three-transcendental inputs.
+    mono = data.draw(tpolys(p, m, max_terms=1))
+    f = data.draw(tpolys(p, m, max_terms=4 if m <= 2 else 1))
+    c = _one_plus_t1(m)
+    g = _tp_gcd(mono, f, p)
+    assert _tp_gcd(f, mono, p) == g
+    assert _tp_gcd(_tp_mul(mono, c, p), _tp_mul(f, c, p), p) == _tp_mul(g, c, p)
+
+
+@pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
+@given(data=st.data())
+def test_single_term_divexact(p, m, data):
+    mono = data.draw(tpolys(p, m, max_terms=1))
+    c = _one_plus_t1(m)
+    # a multiple of mono divides back exactly
+    f = _tp_mul(data.draw(tpolys(p, m, max_terms=4)), mono, p)
+    q = _tp_divexact(f, mono, p)
+    assert q is not None and _tp_mul(q, mono, p) == f
+    # any g: the same answer as long division by the multi-term mono*c
+    g = data.draw(tpolys(p, m, max_terms=4))
+    q = _tp_divexact(g, mono, p)
+    assert q == _tp_divexact(_tp_mul(g, c, p), _tp_mul(mono, c, p), p)
+    if q is not None:
+        assert _tp_mul(q, mono, p) == g
+
+
+@given(ratfunc_elements(field=F5TTT, max_exp=2))
+def test_three_transcendentals_canonical(a):
+    assert F5TTT.sub(a, a) == F5TTT.zero()
+    if not F5TTT.is_zero(a):
+        assert F5TTT.mul(a, F5TTT.inv(a)) == F5TTT.one()

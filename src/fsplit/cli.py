@@ -33,6 +33,10 @@ from .splitting import (
 SCHEMA = "fsplit/1"
 
 
+class _UsageError(Exception):
+    """A flag or environment value that argparse does not check."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -90,8 +94,19 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("FSPLIT_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise _UsageError(f"FSPLIT_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
+
+
+def _check_exponents(args) -> None:
+    e, emax = getattr(args, "e", None), getattr(args, "emax", None)
+    if e is not None and e < 0:
+        raise _UsageError(f"--e must be nonnegative, got {e}")
+    if emax is not None and emax < 1:
+        raise _UsageError(f"--emax must be positive, got {emax}")
 
 
 def _load(args) -> RingSpec:
@@ -231,6 +246,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_exponents(args)
         _DISPATCH[args.command](args)
     except (BudgetExceeded, CostGuardExceeded) as exc:
         sys.stderr.write(f"fsplit: budget: {exc}\n")
@@ -238,7 +254,7 @@ def main(argv=None) -> int:
     except FsplitError as exc:
         sys.stderr.write(f"fsplit: error: {exc}\n")
         return 2
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         sys.stderr.write(f"fsplit: error: {exc}\n")
         return 1
     return 0

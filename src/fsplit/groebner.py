@@ -295,6 +295,19 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
     return _reduce_basis(ring, order, basis, packed, guard)
 
 
+def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
+    """Reduced basis of an ideal from a Groebner basis ``gens`` of it under ``order``.
+
+    No S-pair is formed: elements whose lead another lead divides are dropped
+    and the rest are made monic and reduced against each other. Generators
+    that are not a Groebner basis give a wrong answer.
+    """
+    keyf = order.key
+    basis = [_internal(g.monic(order), keyf) for g in gens if not g.is_zero()]
+    packed = [t[0][1] for t in basis]
+    return _reduce_basis(ring, order, basis, packed, guard_mask(ring.nvars))
+
+
 def _reduce_basis(
     ring: Ring, order: MonomialOrder, basis: list, packed: list, guard: int
 ) -> ReducedGB:

@@ -1,9 +1,31 @@
 """Ideal-level operations: sums, Frobenius bracket powers, intersections, colons.
 
 Intersections use the classic single-auxiliary-variable elimination
-I cap J = (t*I + (1-t)*J) cap S with the auxiliary in the eliminated block;
-colon ideals reduce to intersections with principal ideals followed by exact
-division, asserted as a corruption detector.
+I cap J = (t*I + (1-t)*J) cap S, with t alone in the eliminated block of
+elim(1) and grevlex on the other variables. Colon ideals reduce to
+intersections with principal ideals followed by exact division, asserted as
+a corruption detector. Two facts keep this from repeating work, and both are
+exact:
+
+* The t-free elements of the reduced elim(1) basis G of t*I + (1-t)*J, with
+  t dropped, are the reduced grevlex basis of I cap J, so ``intersect`` runs
+  Buchberger once. By the elimination theorem (Cox, Little and O'Shea,
+  *Ideals, Varieties, and Algorithms*, sections 3.1 and 4.3) G cap S is a
+  Groebner basis of I cap J. Every t-term precedes every t-free term under
+  elim(1), so an element with a t-free lead is t-free, and on t-free
+  monomials elim(1) is grevlex. Each kept element is therefore monic under
+  grevlex, no term of it is divisible by another kept lead since G is
+  reduced, and G already lists them by ascending grevlex lead.
+* (I : f) = (I : f + i) for every i in I, since h*f and h*(f + i) differ by
+  h*i, which lies in I. So ``colon_ideal`` replaces each generator f of J by
+  its normal form modulo the reduced grevlex basis of I, and skips an f that
+  reduces to 0, for which (I : f) = S. For the primal colon n^[q] : K this
+  drops every term of K with an exponent >= q before any elimination.
+
+The quotients h/f over the reduced grevlex basis of I cap (f) are a Groebner
+basis of (I : f): for g in (I : f), lead(f*g) = lead(f)*lead(g) is divisible
+by some lead(h) = lead(f)*lead(h/f). So they are only interreduced
+(``groebner.interreduce``), with no S-pair formed.
 """
 
 from __future__ import annotations
@@ -12,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, RingMismatch, ZeroDivisorColon
-from .groebner import ReducedGB, buchberger
+from .groebner import ReducedGB, buchberger, interreduce, normal_form
 from .poly import (
     GREVLEX,
     RESERVED_VARIABLE,
@@ -71,27 +93,35 @@ def _extended_ring(ring: Ring) -> Ring:
     )
 
 
-def _lift(f: Polynomial, ext: Ring, aux_exp: int) -> Polynomial:
-    return ext.from_terms({(aux_exp,) + e: c for e, c in f.terms})
-
-
-def _project(f: Polynomial, ring: Ring) -> Polynomial:
-    return ring.from_terms({e[1:]: c for e, c in f.terms})
-
-
 def intersect(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
-    """Groebner basis of I cap J in the original ring (grevlex)."""
+    """Reduced grevlex Groebner basis of I cap J in the original ring.
+
+    The t-free part of the reduced elim(1) basis of t*I + (1 - t)*J, with t
+    dropped, is that basis already (see the module docstring).
+    """
     if I.ring != J.ring:
         raise RingMismatch("intersection across different rings")
     ring = I.ring
     ext = _extended_ring(ring)
-    aux = ext.var(RESERVED_VARIABLE)
-    gens = [aux * _lift(f, ext, 0) for f in I.nonzero_generators()]
-    one_minus_aux = ext.one() - aux
-    gens += [one_minus_aux * _lift(g, ext, 0) for g in J.nonzero_generators()]
+    neg = ring.field.neg
+    # under grevlex, t*f, -t*g, g and the projection keep the order of f and
+    # g, and every t-term precedes every t-free term under elim(1)
+    direct = ring.order == GREVLEX
+
+    def poly(R: Ring, terms) -> Polynomial:
+        return Polynomial(R, tuple(terms)) if direct else R.from_terms(dict(terms))
+
+    gens = [poly(ext, [((1,) + e, c) for e, c in f.terms]) for f in I.nonzero_generators()]
+    gens += [
+        poly(ext, [((1,) + e, neg(c)) for e, c in g.terms] + [((0,) + e, c) for e, c in g.terms])
+        for g in J.nonzero_generators()
+    ]
     gb = buchberger(IdealPresentation(ext, gens))
-    kept = [_project(g, ring) for g in gb.basis if g.leading_term(gb.order)[0][0] == 0]
-    return buchberger(IdealPresentation(ring, kept), GREVLEX)
+    # a t-free lead means a t-free element, since t-terms come first
+    kept = [
+        poly(ring, [(e[1:], c) for e, c in h.terms]) for h in gb.basis if not h.terms[0][0][0]
+    ]
+    return ReducedGB(ring, GREVLEX, kept)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -147,20 +177,25 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def colon_ideal(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
-    """Groebner basis of (I : J) = {f : f*J in I}."""
+    """Reduced grevlex Groebner basis of (I : J) = {f : f*J in I}."""
     if I.ring != J.ring:
         raise RingMismatch("colon across different rings")
     ring = I.ring
     jgens = J.nonzero_generators()
     if not jgens:
         raise ZeroDivisorColon("colon by the zero ideal")
+    gb_I = buchberger(I, GREVLEX)
     result: ReducedGB | None = None
     for f in jgens:
+        f = normal_form(f, gb_I)  # (I : f) = (I : f + i) for i in I
+        if f.is_zero():
+            continue  # f in I, so (I : f) = S
         inter = intersect(I, IdealPresentation(ring, (f,)))
-        quotient = tuple(divide_exact(h, f) for h in inter.basis)
-        gb = buchberger(IdealPresentation(ring, quotient), GREVLEX)
+        gb = interreduce(ring, [divide_exact(h, f) for h in inter.basis], GREVLEX)
         if result is None:
             result = gb
         else:
             result = intersect(result.presentation(), gb.presentation())
+    if result is None:
+        return ReducedGB(ring, GREVLEX, (ring.one(),))
     return result

@@ -226,3 +226,21 @@ def test_json_roundtrip_value_identity(files, capsys):
     _, out, _ = run(capsys, "se", files["node2"], "--e", "1", "--no-timestamp")
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize(
+    "argv, env, needle",
+    [
+        (("--e", "-1"), None, "--e must be nonnegative"),
+        (("--emax", "0"), None, "--emax must be positive"),
+        (("--e", "1"), "lots", "FSPLIT_BUDGET must be an integer"),
+    ],
+    ids=["negative-e", "zero-emax", "non-integer-budget-env"],
+)
+def test_se_bad_values_are_usage_errors(files, capsys, monkeypatch, argv, env, needle):
+    if env is not None:
+        monkeypatch.setenv("FSPLIT_BUDGET", env)
+    code, out, err = run(capsys, "se", files["node2"], *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert err.startswith("fsplit: error: ") and needle in err

@@ -21,6 +21,7 @@ from fsplit import (
     s_polynomial,
     validate_reduced_gb,
 )
+from fsplit.groebner import interreduce
 
 R5 = Ring(PrimeField(5), ("x", "y"))
 X, Y = R5.gens()
@@ -199,3 +200,21 @@ def test_ideal_equality_is_order_independent(data):
         assert ideal_member(g, gb_l)
     for g in gb_l.basis:
         assert ideal_member(g, gb_g)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_interreduce_matches_buchberger(order):
+    # a reduced basis padded with scaled ideal members is still a Groebner
+    # basis; interreduce must give back exactly the reduced basis
+    ring = Ring(PrimeField(5), ("x", "y"), order)
+    field = ring.field
+    rng = random.Random(17)
+    for _ in range(10):
+        gb = buchberger(_random_ideal(rng, ring, 3), order)
+        padded = [g.scale(field.from_int(rng.randrange(1, 5))) for g in gb.basis]
+        for g in gb.basis:
+            h = _random_ideal(rng, ring, 1).generators[0]
+            padded.append(g * h + g.scale(field.from_int(2)))
+        rng.shuffle(padded)
+        assert interreduce(ring, padded, order) == gb
+    assert interreduce(ring, [], order).basis == ()

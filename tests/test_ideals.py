@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fsplit import (
+    GREVLEX,
     LEX,
     ExponentOverflow,
     InternalInconsistency,
@@ -22,8 +23,10 @@ from fsplit import (
     ideal_member,
     ideal_sum,
     intersect,
+    validate_reduced_gb,
 )
 from fsplit.splitting import _colon_multiplier
+from test_groebner import _function_field_coefficient
 
 R2 = Ring(PrimeField(2), ("x", "y"))
 R5 = Ring(PrimeField(5), ("x", "y"))
@@ -191,3 +194,70 @@ def test_divide_exact_exponent_overflow_shows_true_exponents():
         divide_exact(x**2, x - y**40000)
     with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
         divide_exact(x**2 + x * y**14464, x - y**40000)
+
+
+def _random_poly(rng, ring, max_exp=2, coefficient=None):
+    field = ring.field
+    if coefficient is None:
+        coefficient = lambda rng: field.from_int(rng.randrange(1, field.characteristic))
+    while True:  # no constant term, so ideals of these stay proper
+        exps = [tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars)) for _ in range(3)]
+        f = ring.from_terms({e: coefficient(rng) for e in exps[: rng.randrange(1, 4)] if any(e)})
+        if not f.is_zero():
+            return f
+
+
+# F_p and F_3(t), under grevlex and under lex (where intersect() lifts and
+# projects through from_terms instead of keeping the term order)
+RANDOM_RINGS = [
+    pytest.param(p, None, order, id=f"{p}-{order!r}")
+    for p in (2, 3, 5)
+    for order in (GREVLEX, LEX)
+] + [pytest.param(3, "t", order, id=f"fpt-3-{order!r}") for order in (GREVLEX, LEX)]
+
+
+def _random_ring(p, transcendental, order):
+    if transcendental is None:
+        return Ring(PrimeField(p), ("x", "y"), order), None
+    field = RationalFunctionField(p, (transcendental,))
+    return Ring(field, ("x", "y"), order), _function_field_coefficient(field)
+
+
+@pytest.mark.parametrize("p, transcendental, order", RANDOM_RINGS)
+def test_intersect_basis_is_reduced_grevlex(p, transcendental, order):
+    # the t-free part of the elimination basis is returned without a second
+    # Buchberger run: it must already be the reduced grevlex basis of I cap J
+    ring, coefficient = _random_ring(p, transcendental, order)
+    rng = random.Random(p * 7 + (transcendental is not None) + 2 * (order == LEX))
+    for _ in range(6):
+        I = ring.ideal(*(_random_poly(rng, ring, coefficient=coefficient) for _ in range(2)))
+        J = ring.ideal(_random_poly(rng, ring, coefficient=coefficient))
+        gb = intersect(I, J)
+        assert gb.ring == ring and gb.order == GREVLEX
+        validate_reduced_gb(gb)
+        assert gb == buchberger(gb.presentation(), GREVLEX)
+        gb_I, gb_J = buchberger(I), buchberger(J)
+        assert all(ideal_member(g, gb_I) and ideal_member(g, gb_J) for g in gb.basis)
+
+
+@pytest.mark.parametrize("p, transcendental, order", RANDOM_RINGS)
+def test_colon_invariant_modulo_I(p, transcendental, order):
+    # (I : f) = (I : f + h*g) for g in I; J inside I gives S; a generator of
+    # J that lies in I changes nothing
+    ring, coefficient = _random_ring(p, transcendental, order)
+    unit = (ring.one(),)
+    rng = random.Random(p * 11 + (transcendental is not None) + 2 * (order == LEX))
+    # F_3(t) eliminations of degree-6 generators take up to a second each,
+    # so I has lower degree there
+    max_exp = 3 if transcendental is None else 2
+    for _ in range(6):
+        g1, g2 = (_random_poly(rng, ring, max_exp, coefficient) for _ in range(2))
+        f, h1, h2 = (_random_poly(rng, ring, coefficient=coefficient) for _ in range(3))
+        I = ring.ideal(g1, g2)
+        base = colon_ideal(I, ring.ideal(f))
+        assert colon_ideal(I, ring.ideal(f + h1 * g1)) == base
+        assert colon_ideal(I, ring.ideal(f + h1 * g1 + h2 * g2)) == base
+        assert colon_ideal(I, ring.ideal(h1 * g1, h2 * g2 + h1 * g1)).basis == unit
+        assert colon_ideal(I, ring.ideal(g2)).basis == unit
+        assert colon_ideal(I, ring.ideal(f, h2 * g2)) == base
+        assert colon_ideal(I, ring.ideal(h2 * g2, f)) == base

@@ -237,3 +237,14 @@ def test_splitting_length_denominator_invariant():
     for entry in CORPUS:
         rep = normalized_splitting_number(entry.ideal, 1)
         assert rep.q**rep.dim % rep.s_e.denominator == 0
+
+
+def test_cusp_char_2_splitting_ideal_is_unit():
+    # K = (f^7) for f = y^2 - x^3 at q = 8 lies in n^[8]: every generator of
+    # K reduces to 0 modulo n^[8], so n^[8] : K is the whole ring and s_3 = 0
+    ring = Ring(PrimeField(2), ("x", "y"))
+    x, y = ring.gens()
+    I = ring.ideal(y**2 - x**3)
+    J = splitting_ideal(I, 3)
+    assert J.is_unit_ideal() and J.basis == (ring.one(),)
+    assert normalized_splitting_number(I, 3).splitting_length == 0

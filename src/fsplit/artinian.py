@@ -5,6 +5,10 @@ the staircase box depth-first, variable by variable, but compresses runs of
 exponent values between generator thresholds, so lengths like q^n come out
 in closed form instead of q^n iterations. Explicit monomial enumeration is
 kept separately for callers that need the actual basis.
+
+The count runs on packed monomials (``poly.pack``): ``m & 0xFFFF`` is the
+exponent of the first remaining variable, ``m >> 17`` drops it, ``0 < m <=
+0xFFFF`` is a pure power of it, and in ascending order divisors come first.
 """
 
 from __future__ import annotations
@@ -13,15 +17,17 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
 from .groebner import ReducedGB
+from .poly import _FIELD_BITS, _MASK, guard_mask, pack
 
 
-def _minimalize(gens):
-    out = []
+def _minimalize(gens, guard: int) -> tuple:
+    """The minimal packed monomials of ``gens``, ascending."""
+    out: list[int] = []
     for g in sorted(set(gens)):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
-            out = [h for h in out if not all(x <= y for x, y in zip(g, h))]
+        gg = g | guard
+        if not any((gg - h) & guard == guard for h in out):
             out.append(g)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def is_artinian(gb: ReducedGB) -> bool:
@@ -41,29 +47,29 @@ def _pure_cap(gens, i: int):
     return min(caps) if caps else None
 
 
-def _count(gens: tuple, memo: dict) -> int:
-    """Standard monomials avoiding every generator, over the remaining variables.
+def _count(depth: int, gens: tuple, guard: int, memo: dict) -> int:
+    """Standard monomials avoiding every generator, over the variables after the first ``depth``.
 
     Empty ``gens`` means no constraint is live, which only happens once all
     generators involved dropped variables; the single empty exponent counts.
     """
-    if any(not any(e) for e in gens):
-        return 0  # a generator divides everything
     if not gens:
         return 1
-    hit = memo.get(gens)
+    if gens[0] == 0:
+        return 0  # a generator divides everything
+    hit = memo.get((depth, gens))
     if hit is not None:
         return hit
-    cap = _pure_cap(gens, 0)
-    if cap is None:
+    cap = gens[0]  # pure powers of the first variable are the smallest
+    if cap > _MASK:
         raise NotArtinian("leading-term ideal misses a pure power")
-    thresholds = sorted({e[0] for e in gens if e[0] < cap} | {0})
+    thresholds = sorted({m & _MASK for m in gens if m & _MASK < cap} | {0})
     total = 0
     for idx, t in enumerate(thresholds):
         hi = thresholds[idx + 1] if idx + 1 < len(thresholds) else cap
-        active = _minimalize(e[1:] for e in gens if e[0] <= t)
-        total += (hi - t) * _count(active, memo)
-    memo[gens] = total
+        active = _minimalize((m >> _FIELD_BITS for m in gens if m & _MASK <= t), guard)
+        total += (hi - t) * _count(depth + 1, active, guard, memo)
+    memo[(depth, gens)] = total
     return total
 
 
@@ -71,12 +77,8 @@ def length(gb: ReducedGB) -> int:
     """Vector-space dimension of the quotient by gb's ideal over the coefficient field."""
     if not is_artinian(gb):
         raise NotArtinian(f"quotient by {gb!r} has infinite length")
-    leads = gb.lead_exponents
-    if any(not any(e) for e in leads):
-        return 0
-    if gb.ring.nvars == 0:
-        return 1
-    return _count(_minimalize(leads), {})
+    guard = guard_mask(gb.ring.nvars)
+    return _count(0, _minimalize(map(pack, gb.lead_exponents), guard), guard, {})
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> Staircase
     if not is_artinian(gb):
         raise NotArtinian(f"quotient by {gb!r} has infinite length")
     n = gb.ring.nvars
-    leads = _minimalize(gb.lead_exponents)
+    leads = gb.lead_exponents
     if any(not any(e) for e in leads):
         return StaircaseBasis(gb, ())
     if n == 0:

@@ -9,6 +9,7 @@ produce byte-identical output with the flag set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="fsplit", description="Frobenius splitting number computations")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -39,8 +39,8 @@ from .poly import (
 # and a product a + s overflows iff (a + s) & G is nonzero. Packed order keys
 # are affine in the exponents, key(a + b) = key(a) + key(b) - key(0), so a
 # reduction step shifts keys by (term key - lead key) with one integer add and
-# never calls the order's key function. Leading exponents for the pair
-# bookkeeping (lcm, coprimality, sugar, criteria B, M and F) stay tuples.
+# never calls the order's key function. The pair bookkeeping is packed too:
+# see ``_packed_lcm`` and ``_support``.
 
 
 def _internal(f: Polynomial, keyf) -> list:
@@ -160,6 +160,19 @@ def _lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+def _packed_lcm(a: int, b: int, guard: int) -> int:
+    """lcm of packed monomials: per field, ``ge`` keeps the guard bit where a >= b,
+    and ``ge - (ge >> 16)`` widens it to that field's 16 value bits."""
+    ge = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (ge - (ge >> 16)))
+
+
+def _support(m: int, guard: int) -> int:
+    """The guard bits of the variables a packed monomial involves; two monomials
+    are coprime iff their supports are disjoint."""
+    return ((m | guard) - (guard >> 16)) & guard
+
+
 class ReducedGB:
     """A reduced Groebner basis: monic, mutually reduced, sorted by leading term."""
 
@@ -227,55 +240,60 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
     field = ring.field
 
     basis: list[list] = []
-    leads: list[tuple] = []
-    packed: list[int] = []  # leads[i], packed
+    packed: list[int] = []  # packed leading monomials
+    supports: list[int] = []  # _support of each lead
+    degrees: list[int] = []  # total degree of each lead
     sugar: list[int] = []
     active: list[int] = []  # elements that still get new pairs
-    # heap of (sugar, lcm key, i, j, lcm); every entry is a live pair
+    # heap of (sugar, lcm key, i, j, packed lcm); every entry is a live pair
     pairs: list[tuple] = []
 
     def add(terms: list, s: int) -> None:
         """Append a monic copy of ``terms`` and run the Gebauer-Moller update."""
         ic = field.inv(terms[0][2])
         h = len(basis)
-        lh = unpack(terms[0][1], nvars)
+        lh = terms[0][1]
+        sh = _support(lh, guard)
+        dh = sum(unpack(lh, nvars))
         basis.append([(k, m, field.mul(c, ic)) for k, m, c in terms])
-        leads.append(lh)
-        packed.append(terms[0][1])
+        packed.append(lh)
+        supports.append(sh)
+        degrees.append(dh)
         sugar.append(s)
         # new pairs (g, h): criterion M drops a pair whose lcm is a proper
         # multiple of another new lcm; criterion F keeps one pair per lcm,
         # and none when some pair with that lcm is coprime (it reduces to 0)
-        by_lcm: dict[tuple, list] = {}
+        by_lcm: dict[int, list] = {}
         for g in active:
-            lg = leads[g]
-            entry = by_lcm.setdefault(_lcm(lg, lh), [g, False])
-            if not any(x and y for x, y in zip(lg, lh)):
+            entry = by_lcm.setdefault(_packed_lcm(packed[g], lh, guard), [g, False])
+            if not supports[g] & sh:
                 entry[1] = True
-        minimal: list[tuple] = []
+        minimal: list[int] = []
         fresh = []
-        for l in sorted(by_lcm, key=sum):  # proper divisors sort first
-            if any(_divides(m, l) for m in minimal):
+        for l in sorted(by_lcm):  # a proper divisor is a smaller integer
+            lg = l | guard
+            if any((lg - m) & guard == guard for m in minimal):
                 continue
             minimal.append(l)
             g, coprime = by_lcm[l]
             if not coprime:
-                s_gh = max(sugar[g] + sum(l) - sum(leads[g]), s + sum(l) - sum(lh))
-                fresh.append((s_gh, keyf(l), g, h, l))
+                el = unpack(l, nvars)
+                dl = sum(el)
+                fresh.append((max(sugar[g] + dl - degrees[g], s + dl - dh), keyf(el), g, h, l))
         # criterion B: h makes (i, j) redundant when lead(h) divides lcm(i, j)
         # and lcm(i, h), lcm(j, h) are both proper divisors of it
         kept = [
             pr
             for pr in pairs
-            if not _divides(lh, pr[4])
-            or _lcm(leads[pr[2]], lh) == pr[4]
-            or _lcm(leads[pr[3]], lh) == pr[4]
+            if ((pr[4] | guard) - lh) & guard != guard
+            or _packed_lcm(packed[pr[2]], lh, guard) == pr[4]
+            or _packed_lcm(packed[pr[3]], lh, guard) == pr[4]
         ]
         kept.extend(fresh)
         heapq.heapify(kept)
         pairs[:] = kept
         # elements whose lead h divides stay as reducers but get no new pairs
-        active[:] = [g for g in active if not _divides(lh, leads[g])]
+        active[:] = [g for g in active if ((packed[g] | guard) - lh) & guard != guard]
         active.append(h)
 
     for g in gens:
@@ -284,8 +302,7 @@ def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
             add(t, g.total_degree())
 
     while pairs:
-        s, kl, i, j, l = heapq.heappop(pairs)
-        pl = pack(l)
+        s, kl, i, j, pl = heapq.heappop(pairs)
         a = _shift(basis[i], pl - packed[i], kl - basis[i][0][0], guard)
         b = _shift(basis[j], pl - packed[j], kl - basis[j][0][0], guard)
         r = _nf(_merge_sub(a, b, field), basis, packed, field, guard)

@@ -5,7 +5,7 @@ multiply exponents by q and must fail loudly instead of wrapping). Orders
 compare via packed integer keys so term sorting and Buchberger's pair
 selection ride on native int comparison.
 
-The reduction engines (``groebner``'s working form and ``ideals.divide_exact``)
+The engines (``groebner``, ``ideals.divide_exact``, ``artinian.length``)
 pack a monomial into one integer instead, as in Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations" (ISSAC 1998):
 variable i owns bits [17i, 17i + 17), 16 value bits plus a guard bit on top,
@@ -16,10 +16,10 @@ the guard bits of all fields:
   guard bit exactly when b's exponent exceeds a's, and never from the next;
 * a product is ``a + b`` (fields are below 2^16, so no carry crosses a
   field), and it overflows iff ``(a + b) & G`` is nonzero;
-* when b divides a, the quotient is ``a - b``.
+* when b divides a, the quotient is ``a - b``; lcm and coprimality use the
+  same borrows (``groebner._packed_lcm`` and ``groebner._support``).
 
-Polynomial terms, leading-exponent lists and the pair bookkeeping of
-Buchberger's algorithm (lcm, coprimality, sugar, criteria) stay tuples.
+Polynomial terms and ``ReducedGB.lead_exponents`` stay tuples.
 """
 
 from __future__ import annotations

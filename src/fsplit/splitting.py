@@ -156,23 +156,20 @@ def _with_multiplier(I: IdealPresentation, e: int, budget: int):
     return ring, q, nq, _colon_multiplier(I, e)
 
 
-def _primal_gb(ring: Ring, nq: IdealPresentation, K: IdealPresentation) -> ReducedGB:
-    if ring.nvars == 0:
-        # n = (0) in a zero-variable ring, so J = 0 : K = 0
-        return ReducedGB(ring, GREVLEX, ())
+def _primal_gb(nq: IdealPresentation, K: IdealPresentation) -> ReducedGB:
     return colon_ideal(nq, K)
 
 
 def _dual_length(ring: Ring, q: int, nq: IdealPresentation, K: IdealPresentation) -> int:
     summed = ideal_sum(K, nq)
-    codim = length(buchberger(summed, GREVLEX)) if summed.nonzero_generators() else 1
+    codim = length(buchberger(summed, GREVLEX))
     return q**ring.nvars - codim
 
 
 def splitting_ideal(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> ReducedGB:
     """Groebner basis of J = n^[q] : (I^[q] : I), the splitting-length ideal."""
-    ring, _, nq, K = _with_multiplier(I, e, budget)
-    return _primal_gb(ring, nq, K)
+    _, _, nq, K = _with_multiplier(I, e, budget)
+    return _primal_gb(nq, K)
 
 
 def dual_splitting_length(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -186,7 +183,7 @@ def normalized_splitting_number(
 ) -> SplittingReport:
     """SplittingReport at the origin; primal and dual lengths must agree exactly."""
     ring, q, nq, K = _with_multiplier(I, e, budget)
-    lam = length(_primal_gb(ring, nq, K))
+    lam = length(_primal_gb(nq, K))
     dual = _dual_length(ring, q, nq, K)
     if dual != lam:
         raise InternalInconsistency(

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fsplit import (
     CostGuardExceeded,
@@ -121,3 +122,39 @@ def test_krull_dimension_principal_random():
             return best
 
         assert dim == brute() == 2
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    # a pure power of every variable, optionally mixed monomials, optionally 1
+    n = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    gens = [tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(caps)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=4))
+    if draw(st.booleans()) and draw(st.booleans()):
+        gens.append((0,) * n)
+    return n, caps, gens
+
+
+@given(artinian_monomial_ideals())
+def test_packed_length_counts_the_staircase(case):
+    n, caps, gens = case
+    ring = Ring(PrimeField(3), ("x", "y", "z", "w")[:n])
+    gb = buchberger(ring.ideal(*(ring.monomial(e) for e in gens)))
+    box = itertools.product(*(range(c) for c in caps))
+    brute = sum(
+        1 for m in box if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+    )
+    assert length(gb) == len(standard_monomials(gb)) == brute
+
+
+def test_length_needs_a_pure_power_of_the_last_variable():
+    R3 = Ring(PrimeField(5), ("x", "y", "z"))
+    x, y, z = R3.gens()
+    gb = buchberger(R3.ideal(x**2, y**3, x * z, y * z**2))
+    with pytest.raises(NotArtinian):
+        length(gb)
+    with pytest.raises(NotArtinian):
+        standard_monomials(gb)
+    # z^0: 2 * 3 monomials; z^1: y^0..y^2; z^2, z^3: 1 each
+    assert length(buchberger(R3.ideal(x**2, y**3, x * z, y * z**2, z**4))) == 6 + 3 + 2

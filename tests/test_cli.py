@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fsplit.cli import main
+from fsplit.cli import _build_parser, main
 
 NODE2 = "char = 2\nvars = x, y\nideal = x*y\nsop = x + y\n"
 NODE3 = """\
@@ -244,3 +244,22 @@ def test_se_bad_values_are_usage_errors(files, capsys, monkeypatch, argv, env, n
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith("fsplit: error: ") and needle in err
+
+
+def test_successive_calls_share_one_parser(files, capsys):
+    # main builds its parser once per process: a call must not see what an
+    # earlier call parsed, so each gives what it gives in a fresh process
+    calls = [
+        ("se", files["node2"], "--e", "-1", "--no-timestamp"),
+        ("se", files["node2"], "--e", "1", "--no-timestamp"),
+        ("gorenstein", files["node2"], "--e", "1", "--no-timestamp"),
+        ("se", files["node2"], "--emax", "2", "--no-timestamp"),
+    ]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    _build_parser.cache_clear()
+    assert [run(capsys, *argv)[:2] for argv in calls] == alone
+    assert [code for code, _ in alone] == [1, 0, 0, 0]
+    assert _build_parser.cache_info().misses == 1

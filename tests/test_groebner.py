@@ -21,9 +21,13 @@ from fsplit import (
     s_polynomial,
     validate_reduced_gb,
 )
-from fsplit.groebner import interreduce
+from fsplit.groebner import _lcm, _packed_lcm, _support, interreduce
+from fsplit.ideals import intersect
+from fsplit.poly import guard_mask, pack, unpack
+from fsplit.ringspec import parse_polynomial
 
 R5 = Ring(PrimeField(5), ("x", "y"))
+R3XYZ = Ring(PrimeField(3), ("x", "y", "z"))
 X, Y = R5.gens()
 
 
@@ -218,3 +222,84 @@ def test_interreduce_matches_buchberger(order):
         rng.shuffle(padded)
         assert interreduce(ring, padded, order) == gb
     assert interreduce(ring, [], order).basis == ()
+
+
+# fields near both ends of the 16-bit range, so either operand can be larger
+_packed_field = st.one_of(st.integers(0, 3), st.integers(65532, 65535), st.integers(0, 65535))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_packed_field, min_size=n, max_size=n),
+    st.lists(_packed_field, min_size=n, max_size=n),
+)))
+def test_packed_lcm_and_coprimality_match_tuples(ab):
+    a, b = (tuple(v) for v in ab)
+    G = guard_mask(len(a))
+    pa, pb = pack(a), pack(b)
+    assert unpack(_packed_lcm(pa, pb, G), len(a)) == _lcm(a, b)
+    assert _packed_lcm(pa, pb, G) == _packed_lcm(pb, pa, G)
+    coprime = not any(x and y for x, y in zip(a, b))
+    assert (not _support(pa, G) & _support(pb, G)) == coprime
+
+
+def _parse_ideal(ring, *texts):
+    return ring.ideal(*(parse_polynomial(ring, s) for s in texts))
+
+
+# Reduced bases recorded before the pair update was packed. A reduced basis
+# is unique, so these do not see the order pairs are reduced in; they catch a
+# pair update that drops a pair it needs (a wrong lcm, coprimality test or
+# criterion), which leaves a different or non-Groebner basis.
+PINNED_BASES = [
+    pytest.param(
+        lambda: intersect(
+            _parse_ideal(R3XYZ, "x*z - y^2", "y - z^2"),
+            _parse_ideal(R3XYZ, "x^2 + y*z", "x*y - z^3"),
+        ),
+        "GB{x*z^3 + 2*y*z^3 + z^4 + x*y^2 + 2*x^2*z + 2*x*y*z + y^2*z + 2*y*z^2; "
+        "x^2*z^2 + y*z^3 + 2*x^2*y + 2*y^2*z; x^2*y^2 + 2*x^3*z + y^3*z + 2*x*y*z^2; "
+        "z^5 + 2*x*y*z^2 + 2*y*z^3 + x*y^2; y*z^4 + 2*x*y^2*z + 2*y*z^3 + z^4 + x^2*y "
+        "+ x*y^2 + 2*x^2*z + 2*x*y*z + y^2*z + 2*y*z^2; y^2*z^3 + 2*x*y^3 + x^2*y*z "
+        "+ y^2*z^2 + z^4 + 2*x^2*z + 2*x*y*z + 2*y*z^2}",
+        id="elim-intersect-F3",
+    ),
+    pytest.param(
+        lambda: buchberger(_parse_ideal(
+            Ring(PrimeField(5), ("x", "y", "z"), LEX),
+            "x^2 + y*z - 2", "x*y - z^2 + x", "y^3 - x*z + 1",
+        ), LEX),
+        "GB{z^11 + z^8 + 3*z^7 + 2*z^6 + 4*z^5 + 4*z^4 + z^3 + z; "
+        "y + 3*z^10 + 3*z^9 + 3*z^7 + 2*z^6 + 4*z^3 + 4*z + 1; "
+        "x*z + z^10 + z^9 + z^8 + z^7 + 4*z^6 + z^5 + 2*z^4 + 4*z^3 + 4*z^2 + 4*z; "
+        "x^2 + 2*z^10 + 2*z^7 + z^6 + 2*z^5 + 3*z^4 + 3*z^3 + z^2 + 2*z + 3}",
+        id="lex-F5",
+    ),
+    pytest.param(
+        lambda: buchberger(_parse_ideal(
+            Ring(PrimeField(7), ("x", "y", "z", "w")),
+            "x*z - y^2 + w^2", "y*w - z^2 + 3*x*y", "x*w - y*z", "x^3 - w^3",
+        ), GREVLEX),
+        "GB{y*z + 6*x*w; y^2 + 6*x*z + 6*w^2; x*y + 2*z^2 + 5*y*w; "
+        "z^3 + 4*x^2*w + 6*x*w^2; x*z^2 + 2*z^2*w + 5*y*w^2 + z*w^2; "
+        "x^2*z + x*w^2 + 5*w^3; x^3 + 6*w^3; z^2*w^2 + 3*w^4; x*z*w^2 + 3*y*w^3; "
+        "x^2*w^2 + 5*x*w^3 + z*w^3; z*w^4 + w^5; y*w^4 + 3*w^5; x*w^4 + 5*w^5; w^6}",
+        id="grevlex-F7",
+    ),
+    pytest.param(
+        lambda: buchberger(_parse_ideal(
+            Ring(RationalFunctionField(3, ("t",)), ("x", "y", "z")),
+            "t*x^2 + y*z", "x*y - (t + 1)*z^2", "y^3 + t*x*z",
+        ), GREVLEX),
+        "GB{x*y + (2*t + 2)*z^2; x^2 + ((1)/(t))*y*z; y^2*z + (t^2 + t)*x*z^2; "
+        "y^3 + t*x*z; z^4 + ((2)/(t^2 + 2*t + 1))*x*z^2; "
+        "x*z^3 + ((1)/(t^3 + 2*t^2 + t))*y*z^2}",
+        id="grevlex-F3(t)",
+    ),
+]
+
+
+@pytest.mark.parametrize("compute, expected", PINNED_BASES)
+def test_reduced_basis_is_pinned(compute, expected):
+    gb = compute()
+    assert repr(gb) == expected
+    validate_reduced_gb(gb)

@@ -13,6 +13,7 @@ from fsplit import (
     NotContaining,
     NotGorenstein,
     PrimeField,
+    RationalFunctionField,
     Ring,
     SplittingReport,
     buchberger,
@@ -248,3 +249,18 @@ def test_cusp_char_2_splitting_ideal_is_unit():
     J = splitting_ideal(I, 3)
     assert J.is_unit_ideal() and J.basis == (ring.one(),)
     assert normalized_splitting_number(I, 3).splitting_length == 0
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), RationalFunctionField(3, ("t",))],
+                         ids=["F3", "F3(t)"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_zero_variable_ring(field, e):
+    # S = k, n = (0) and I = (0): J = 0 : K is the zero ideal, the dual count
+    # is q^0 minus the length of S / K = 0, and s_e = 1 at every e
+    ring = Ring(field, ())
+    I = ring.ideal()
+    J = splitting_ideal(I, e)
+    assert J.is_zero_ideal() and J.basis == ()
+    assert dual_splitting_length(I, e) == 1
+    rep = normalized_splitting_number(I, e)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)

@@ -7,7 +7,6 @@ primes, and finite-sample verification of semicontinuity behavior.
 """
 
 from .artinian import (
-    StaircaseBasis,
     is_artinian,
     krull_dimension,
     length,
@@ -40,9 +39,6 @@ from .fields import (
     PrimeField,
     RatFunc,
     RationalFunctionField,
-    alpha,
-    field_arith,
-    frobenius_map,
 )
 from .groebner import (
     ReducedGB,
@@ -53,8 +49,6 @@ from .groebner import (
     validate_reduced_gb,
 )
 from .ideals import (
-    BracketPower,
-    bracket_power,
     colon_ideal,
     divide_exact,
     frobenius_power,
@@ -81,7 +75,6 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
-    poly_arith,
 )
 from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (

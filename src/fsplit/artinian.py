@@ -13,8 +13,6 @@ exponent of the first remaining variable, ``m >> 17`` drops it, ``0 < m <=
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
 from .groebner import ReducedGB
 from .poly import _FIELD_BITS, _MASK, guard_mask, pack
@@ -81,27 +79,16 @@ def length(gb: ReducedGB) -> int:
     return _count(0, _minimalize(map(pack, gb.lead_exponents), guard), guard, {})
 
 
-@dataclass(frozen=True)
-class StaircaseBasis:
-    """The standard monomials of an Artinian quotient, as exponent tuples."""
-
-    gb: ReducedGB
-    monomials: tuple
-
-    def __len__(self):
-        return len(self.monomials)
-
-
-def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> StaircaseBasis:
-    """Enumerate the staircase explicitly (ascending under the basis order)."""
+def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The staircase as exponent tuples, ascending under the basis order."""
     if not is_artinian(gb):
         raise NotArtinian(f"quotient by {gb!r} has infinite length")
     n = gb.ring.nvars
     leads = gb.lead_exponents
     if any(not any(e) for e in leads):
-        return StaircaseBasis(gb, ())
+        return ()
     if n == 0:
-        return StaircaseBasis(gb, ((),))
+        return ((),)
     caps = []
     box = 1
     for i in range(n):
@@ -126,7 +113,7 @@ def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> Staircase
     walk([])
     keyf = gb.order.key
     out.sort(key=keyf)
-    return StaircaseBasis(gb, tuple(out))
+    return tuple(out)
 
 
 def krull_dimension(gb: ReducedGB) -> int:

@@ -93,15 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FSPLIT_BUDGET")
-    if env:
+    """The budget from --budget, else FSPLIT_BUDGET, else the default; at least 1."""
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("FSPLIT_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "FSPLIT_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise _UsageError(f"FSPLIT_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    if budget < 1:
+        raise _UsageError(f"{source} must be positive, got {budget}")
+    return budget
 
 
 def _check_exponents(args) -> None:

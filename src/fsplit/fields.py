@@ -32,7 +32,6 @@ from __future__ import annotations
 from .errors import (
     DivisionByZero,
     DuplicateVariable,
-    FieldMismatch,
     NonPrimeCharacteristic,
 )
 
@@ -523,31 +522,3 @@ class RationalFunctionField(FieldDescriptor):
             return num
         den = _tp_str(_thaw(a.den), names)
         return f"({num})/({den})"
-
-
-def field_arith(field: FieldDescriptor, a, b, op: str):
-    """Dispatch one exact field operation; op in {add, sub, mul, div}."""
-    if not (field.element_of(a) and field.element_of(b)):
-        raise FieldMismatch(f"operands do not belong to {field!r}")
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        if field.is_zero(b):
-            raise DivisionByZero("division by zero")
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frobenius_map(field: FieldDescriptor, a, e: int):
-    """Return a^(p^e)."""
-    if e < 0:
-        raise ValueError("e must be nonnegative")
-    return field.frobenius(a, e)
-
-
-def alpha(field: FieldDescriptor) -> int:
-    return field.alpha()

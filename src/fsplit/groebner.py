@@ -184,9 +184,6 @@ class ReducedGB:
         self.basis = tuple(basis)
         self.lead_exponents = tuple(g.leading_term(order)[0] for g in self.basis)
 
-    def is_zero_ideal(self) -> bool:
-        return not self.basis
-
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant()
 

@@ -31,7 +31,6 @@ by some lead(h) = lead(f)*lead(h/f). So they are only interreduced
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import InternalInconsistency, RingMismatch, ZeroDivisorColon
 from .groebner import ReducedGB, buchberger, interreduce, normal_form
@@ -61,26 +60,6 @@ def frobenius_power(I: IdealPresentation, e: int) -> IdealPresentation:
     if e < 0:
         raise ValueError("e must be nonnegative")
     return IdealPresentation(I.ring, tuple(g.frobenius(e) for g in I.generators))
-
-
-@dataclass(frozen=True)
-class BracketPower:
-    """A bracket power I^[q] together with its certified exponent data."""
-
-    base: IdealPresentation
-    e: int
-    q: int
-    presentation: IdealPresentation
-
-    def __post_init__(self):
-        p = self.base.ring.field.characteristic
-        if self.q != p**self.e:
-            raise InternalInconsistency(f"q = {self.q} is not {p}^{self.e}")
-
-
-def bracket_power(I: IdealPresentation, e: int) -> BracketPower:
-    q = I.ring.field.characteristic**e
-    return BracketPower(I, e, q, frobenius_power(I, e))
 
 
 def _extended_ring(ring: Ring) -> Ring:

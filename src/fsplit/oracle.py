@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, FieldMismatch, NotHomogeneous
 from .fields import PrimeField
-from .poly import IdealPresentation, Polynomial
+from .poly import IdealPresentation
 
 
 def _require_prime_field(ring):
@@ -74,22 +74,11 @@ def _box_index(q: int, n: int):
     return mons, {m: i for i, m in enumerate(mons)}
 
 
-def oracle_length_mod_bracket(
-    gens, e: int, budget: int = DEFAULT_BUDGET, ring=None
-) -> int:
-    """lambda(S / ((gens) + n^[q])) as q^n minus the rank of all truncated multiples.
-
-    ``gens`` may be an IdealPresentation or a list of polynomials; an explicit
-    ring is only needed when the list is empty.
-    """
-    if isinstance(gens, IdealPresentation):
-        ring = gens.ring
-        gens = gens.generators
-    gens = [g for g in gens if isinstance(g, Polynomial)]
-    if ring is None:
-        if not gens:
-            raise ValueError("pass ring= when the generator list is empty")
-        ring = gens[0].ring
+def oracle_length_mod_bracket(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
+    """lambda(S / (I + n^[q])) as q^n minus the rank of all truncated multiples."""
+    if not isinstance(I, IdealPresentation):
+        raise TypeError(f"expected an IdealPresentation, not {type(I).__name__}")
+    ring = I.ring
     _require_prime_field(ring)
     p = ring.field.characteristic
     q = p**e
@@ -97,9 +86,7 @@ def oracle_length_mod_bracket(
     qn = q**n
     mons, index = _box_index(q, n)
     rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
+    for g in I.nonzero_generators():
         for m in mons:
             row = [0] * qn
             nonzero = False

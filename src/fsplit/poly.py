@@ -271,13 +271,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or not any(self.terms[0][0])
 
-    def constant_coefficient(self):
-        zero_exps = (0,) * self.ring.nvars
-        for e, c in self.terms:
-            if e == zero_exps:
-                return c
-        return self.ring.field.zero()
-
     def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
         if not self.terms:
             return self
@@ -287,12 +280,6 @@ class Polynomial:
             return self
         ic = field.inv(lc)
         return Polynomial(self.ring, tuple((e, field.mul(c, ic)) for e, c in self.terms))
-
-    def coefficient_of(self, exps):
-        for e, c in self.terms:
-            if e == tuple(exps):
-                return c
-        return self.ring.field.zero()
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -428,17 +415,6 @@ class Polynomial:
         return f"<{self} in {self.ring!r}>"
 
 
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Dispatch one exact polynomial operation; op in {add, sub, mul}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
 class IdealPresentation:
     """An ideal as an ordered generator list in a named ring; order is preserved."""
 
@@ -454,9 +430,6 @@ class IdealPresentation:
 
     def nonzero_generators(self):
         return tuple(g for g in self.generators if not g.is_zero())
-
-    def is_zero_ideal(self) -> bool:
-        return not self.nonzero_generators()
 
     def __eq__(self, other):
         return (

@@ -17,6 +17,8 @@ than re-derived per call. A proper ideal with a generator that has a nonzero
 constant term does not vanish at the origin, so the splitting and socle entry
 points reject it with NotContaining. A Gorenstein route through a system of
 parameters and a socle generator is provided as an independent cross-check.
+The socle work (the bases of A = I + (sop) and of (A : n)) runs once per
+call, whether the socle element is computed or supplied.
 """
 
 from __future__ import annotations
@@ -65,18 +67,6 @@ class SplittingReport:
             "a_e": None if self.a_e is None else str(self.a_e),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SplittingReport":
-        return cls(
-            e=obj["e"],
-            q=obj["q"],
-            splitting_length=int(obj["lambda"]),
-            dim=obj["dim"],
-            alpha=obj["alpha"],
-            s_e=Fraction(obj["s_e"]),
-            a_e=None if obj.get("a_e") is None else int(obj["a_e"]),
-        )
-
 
 @dataclass(frozen=True)
 class SignatureEstimate:
@@ -97,15 +87,6 @@ class SignatureEstimate:
             "tail_min": None if self.tail_min is None else str(self.tail_min),
             "positive": self.positive,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SignatureEstimate":
-        return cls(
-            reports=tuple(SplittingReport.from_json_obj(r) for r in obj["reports"]),
-            tail_max=None if obj["tail_max"] is None else Fraction(obj["tail_max"]),
-            tail_min=None if obj["tail_min"] is None else Fraction(obj["tail_min"]),
-            positive=obj["positive"],
-        )
 
 
 def _guard(ring: Ring, e: int, budget: int) -> int:
@@ -228,15 +209,14 @@ def hypersurface_is_fpure(f: Polynomial, e: int) -> bool:
     return not ideal_member(f ** (q - 1), nq)
 
 
-def socle_generator(I: IdealPresentation, sop) -> Polynomial:
-    """A lift of the socle generator of S/(I + (sop)); errors if not Gorenstein.
+def _socle_bases(I: IdealPresentation, sop: tuple) -> tuple:
+    """Reduced bases of A = I + (sop) and of (A : n), with the socle certified.
 
-    ``sop`` must be a system of parameters at the origin: as many elements as
-    the Krull dimension, with Artinian quotient. Zero-dimensional rings take
-    the empty sop by convention.
+    Checks that I is at the origin, that sop has as many elements as the
+    Krull dimension, that S/A is Artinian and nonzero, and that its socle
+    (A : n)/A is one-dimensional.
     """
     ring = I.ring
-    sop = tuple(sop)
     _require_origin(I)
     d = krull_dimension(buchberger(I, GREVLEX))
     if len(sop) != d:
@@ -252,6 +232,17 @@ def socle_generator(I: IdealPresentation, sop) -> Polynomial:
     socle_dim = lam_A - length(C)
     if socle_dim != 1:
         raise NotGorenstein(f"socle has vector-space dimension {socle_dim}, not 1")
+    return GA, C
+
+
+def socle_generator(I: IdealPresentation, sop) -> Polynomial:
+    """A lift of the socle generator of S/(I + (sop)); errors if not Gorenstein.
+
+    ``sop`` must be a system of parameters at the origin: as many elements as
+    the Krull dimension, with Artinian quotient. Zero-dimensional rings take
+    the empty sop by convention.
+    """
+    GA, C = _socle_bases(I, tuple(sop))
     candidates = []
     for g in C.basis:
         nf = normal_form(g, GA)
@@ -261,17 +252,6 @@ def socle_generator(I: IdealPresentation, sop) -> Polynomial:
         raise InternalInconsistency("one-dimensional socle produced no generator")
     keyf = GA.order.key
     return min(candidates, key=lambda h: keyf(h.leading_term(GA.order)[0]))
-
-
-def _check_socle(I: IdealPresentation, sop, u: Polynomial) -> None:
-    ring = I.ring
-    A = ideal_sum(I, IdealPresentation(ring, tuple(sop)))
-    GA = buchberger(A, GREVLEX)
-    if normal_form(u, GA).is_zero():
-        raise InvalidSocle("supplied socle element lies in the parameter ideal")
-    for v in ring.gens():
-        if not ideal_member(u * v, GA):
-            raise InvalidSocle("supplied element does not annihilate the maximal ideal")
 
 
 def gorenstein_splitting_number(
@@ -284,28 +264,27 @@ def gorenstein_splitting_number(
     """Splitting report via the Gorenstein route lambda(R u^q + sop^[q] / sop^[q]).
 
     Computed in the ambient ring as lambda(S / ((I + sop^[q]) : u^q)). The
-    default u is the computed socle generator; a supplied u is validated.
+    default u is the computed socle generator. A supplied u must lie outside
+    A = I + (sop) and inside (A : n), against the same certified bases.
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
     ring = I.ring
     sop = tuple(sop)
-    q = _guard(ring, e, budget)
-    _require_origin(I)
+    _guard(ring, e, budget)
     if u is None:
-        u = socle_generator(I, sop)  # validates sop and Gorenstein-ness
+        u = socle_generator(I, sop)
     else:
-        d = krull_dimension(buchberger(I, GREVLEX))
-        if len(sop) != d:
-            raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
-        socle_generator(I, sop)  # still certify the socle is one-dimensional
-        _check_socle(I, sop, u)
-    d = len(sop)
+        GA, C = _socle_bases(I, sop)
+        if normal_form(u, GA).is_zero():
+            raise InvalidSocle("supplied socle element lies in the parameter ideal")
+        if not ideal_member(u, C):
+            raise InvalidSocle("supplied element does not annihilate the maximal ideal")
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
     uq = u.frobenius(e)
     C = colon_ideal(B, IdealPresentation(ring, (uq,)))
     lam = 0 if C.is_unit_ideal() else length(C)
-    return _make_report(ring, e, lam, d)
+    return _make_report(ring, e, lam, len(sop))
 
 
 def f_signature_sequence(

@@ -73,13 +73,13 @@ def test_length_agrees_with_enumeration_and_oracle():
         gb = buchberger(full)
         lam = length(gb)
         assert lam == len(standard_monomials(gb))
-        assert lam == oracle_length_mod_bracket(gens, e, budget=4 * 10**6)
+        assert lam == oracle_length_mod_bracket(ring.ideal(*gens), e, budget=4 * 10**6)
 
 
 def test_standard_monomials_explicit():
     gb = buchberger(R5.ideal(X**2, X * Y, Y**2))
     basis = standard_monomials(gb)
-    assert set(basis.monomials) == {(0, 0), (1, 0), (0, 1)}
+    assert set(basis) == {(0, 0), (1, 0), (0, 1)}
     with pytest.raises(CostGuardExceeded):
         standard_monomials(buchberger(R5.ideal(X**200, Y**200)), budget=100)
 
@@ -102,7 +102,7 @@ def test_krull_dimension_principal_random():
         for _ in range(rng.randrange(2, 4)):
             terms[tuple(rng.randrange(3) for _ in range(3))] = rng.randrange(1, 3)
         f = ring.from_terms(terms)
-        if f.is_zero() or f.constant_coefficient() != 0:
+        if f.is_zero() or (0, 0, 0) in dict(f.terms):
             continue
         gb = buchberger(ring.ideal(f))
         dim = krull_dimension(gb)

@@ -234,8 +234,11 @@ def test_json_roundtrip_value_identity(files, capsys):
         (("--e", "-1"), None, "--e must be nonnegative"),
         (("--emax", "0"), None, "--emax must be positive"),
         (("--e", "1"), "lots", "FSPLIT_BUDGET must be an integer"),
+        (("--e", "1", "--budget", "-1"), None, "--budget must be positive"),
+        (("--e", "0"), "0", "FSPLIT_BUDGET must be positive"),
     ],
-    ids=["negative-e", "zero-emax", "non-integer-budget-env"],
+    ids=["negative-e", "zero-emax", "non-integer-budget-env", "negative-budget",
+         "zero-budget-env"],
 )
 def test_se_bad_values_are_usage_errors(files, capsys, monkeypatch, argv, env, needle):
     if env is not None:

@@ -8,13 +8,10 @@ from hypothesis import given, strategies as st
 from fsplit import (
     DivisionByZero,
     DuplicateVariable,
-    FieldMismatch,
     NonPrimeCharacteristic,
     PrimeField,
     RationalFunctionField,
-    alpha,
-    field_arith,
-    frobenius_map,
+    Ring,
 )
 from fsplit.fields import _tp_divexact, _tp_gcd, _tp_mul
 
@@ -52,9 +49,9 @@ def ratfunc_elements(draw, field=F2T, max_exp=3):
 
 
 def test_prime_field_examples():
-    assert field_arith(F5, 2, 4, "add") == 1
+    assert F5.add(2, 4) == 1
     assert F5.inv(3) == 2
-    assert field_arith(F5, 1, 3, "div") == 2
+    assert F5.div(1, 3) == 2
 
 
 def test_rational_function_cancellation():
@@ -75,18 +72,20 @@ def test_zero_is_unique():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        field_arith(F5, 1, 0, "div")
+        F5.div(1, 0)
     with pytest.raises(DivisionByZero):
         F2T.inv(F2T.zero())
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        field_arith(F5, 2, F2T.one(), "add")
+    # an element of another field is no scalar for F_5 polynomials
+    assert not F5.element_of(F2T.one()) and not F2T.element_of(2)
+    with pytest.raises(TypeError):
+        Ring(F5, ("x",)).var("x") * F2T.one()
 
 
 def test_frobenius_examples():
-    assert frobenius_map(F5, 3, 1) == 3
+    assert F5.frobenius(3, 1) == 3
     t = F2T.transcendental("t")
     assert F2T.frobenius(t, 1) == F2T.mul(t, t)
     t3 = F3T.transcendental("t")
@@ -95,9 +94,9 @@ def test_frobenius_examples():
 
 
 def test_alpha_values():
-    assert alpha(F5) == 0
-    assert alpha(F2T) == 1
-    assert alpha(F3TT) == 2
+    assert F5.alpha() == 0
+    assert F2T.alpha() == 1
+    assert F3TT.alpha() == 2
 
 
 def test_alpha_independence_witness():
@@ -153,7 +152,7 @@ def test_two_transcendentals_canonical(a):
 
 @given(st.integers(0, 4), st.integers(0, 4))
 def test_prime_field_frobenius_fixes_everything(a, e):
-    assert frobenius_map(F5, a, e) == a
+    assert F5.frobenius(a, e) == a
 
 
 def test_negative_powers_are_inverse_powers():

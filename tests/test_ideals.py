@@ -15,7 +15,6 @@ from fsplit import (
     RationalFunctionField,
     Ring,
     ZeroDivisorColon,
-    bracket_power,
     buchberger,
     colon_ideal,
     divide_exact,
@@ -23,6 +22,7 @@ from fsplit import (
     ideal_member,
     ideal_sum,
     intersect,
+    krull_dimension,
     validate_reduced_gb,
 )
 from fsplit.splitting import _colon_multiplier
@@ -59,9 +59,7 @@ def test_frobenius_power_examples():
 
 def test_bracket_power_record():
     x, _ = R5.gens()
-    bp = bracket_power(R5.ideal(x), 2)
-    assert bp.q == 25 and bp.e == 2
-    assert bp.presentation.generators == (x**25,)
+    assert frobenius_power(R5.ideal(x), 2).generators == (x**25,)
 
 
 def test_bracket_power_composes():
@@ -261,3 +259,31 @@ def test_colon_invariant_modulo_I(p, transcendental, order):
         assert colon_ideal(I, ring.ideal(g2)).basis == unit
         assert colon_ideal(I, ring.ideal(f, h2 * g2)) == base
         assert colon_ideal(I, ring.ideal(h2 * g2, f)) == base
+
+
+FEDDER_CASES = {
+    "xy,zw": (("x", "y", "z", "w"), lambda x, y, z, w: (x * y, z * w)),
+    "x2-yz,y2-xz": (("x", "y", "z"), lambda x, y, z: (x**2 - y * z, y**2 - x * z)),
+    "x2,y3": (("x", "y"), lambda x, y: (x**2, y**3)),
+    "xy-z3,x2+y2": (("x", "y", "z"), lambda x, y, z: (x * y - z**3, x**2 + y**2)),
+}
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", sorted(FEDDER_CASES))
+def test_complete_intersection_colon_is_fedders(case, p, e):
+    # Fedder (Trans. AMS 1983): for a complete intersection I = (f_1, ..., f_c),
+    # (I^[q] : I) = I^[q] + ((f_1 ... f_c)^(q - 1)); an independent K
+    names, make = FEDDER_CASES[case]
+    ring = Ring(PrimeField(p), names)
+    gens = make(*ring.gens())
+    I = ring.ideal(*gens)
+    assert len(gens) == ring.nvars - krull_dimension(buchberger(I))
+    prod = ring.one()
+    for f in gens:
+        prod = prod * f
+    q = p**e
+    Iq = frobenius_power(I, e)
+    expected = buchberger(ideal_sum(Iq, ring.ideal(prod ** (q - 1))))
+    assert colon_ideal(Iq, I).basis == expected.basis

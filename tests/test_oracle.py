@@ -14,9 +14,18 @@ R3 = Ring(PrimeField(3), ("x",))
 
 def test_bracket_length_examples():
     x, y = R2.gens()
-    assert oracle_length_mod_bracket([], 1, ring=R2) == 4
-    assert oracle_length_mod_bracket([x * y], 1) == 3
-    assert oracle_length_mod_bracket([R3.var("x")], 1) == 1
+    assert oracle_length_mod_bracket(R2.ideal(), 1) == 4
+    assert oracle_length_mod_bracket(R2.ideal(x * y), 1) == 3
+    assert oracle_length_mod_bracket(R3.ideal(R3.var("x")), 1) == 1
+
+
+def test_bracket_length_takes_only_a_presentation():
+    # a unit generator gives the unit ideal; a bare list is no ideal, and
+    # its ring is never checked, so it is refused rather than read
+    x, y = R2.gens()
+    assert oracle_length_mod_bracket(R2.ideal(x * y, R2.one()), 1) == 0
+    with pytest.raises(TypeError):
+        oracle_length_mod_bracket([x * y, R2.one()], 1)
 
 
 def test_dual_length_examples():
@@ -38,16 +47,16 @@ def test_rejects_function_fields():
     field = RationalFunctionField(2, ("t",))
     ring = Ring(field, ("x",))
     with pytest.raises(FieldMismatch):
-        oracle_length_mod_bracket([ring.var("x")], 1)
+        oracle_length_mod_bracket(ring.ideal(ring.var("x")), 1)
 
 
 def test_budget():
     x, y = R2.gens()
     with pytest.raises(BudgetExceeded):
-        oracle_length_mod_bracket([x * y], 3, budget=10)
+        oracle_length_mod_bracket(R2.ideal(x * y), 3, budget=10)
 
 
 def test_rank_determinism():
     x, y = R2.gens()
-    runs = {oracle_length_mod_bracket([x * y, x**2 + y**2], 2) for _ in range(3)}
+    runs = {oracle_length_mod_bracket(R2.ideal(x * y, x**2 + y**2), 2) for _ in range(3)}
     assert len(runs) == 1

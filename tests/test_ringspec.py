@@ -87,7 +87,7 @@ def test_transcendental_coefficients():
     spec = parse_ring_spec("char=2; vars=x,y; transcendentals=t; ideal=t*x + y")
     field = spec.ring.field
     g = spec.ideal.generators[0]
-    assert g.coefficient_of((1, 0)) == field.transcendental("t")
+    assert dict(g.terms)[(1, 0)] == field.transcendental("t")
 
 
 def test_primes_chains_sop_socle():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsplit import (
     CostGuardExceeded,
@@ -172,6 +175,31 @@ def test_supplied_socle_is_validated():
         gorenstein_splitting_number(node, (x2 + y2,), 1, u=R2.one())  # not annihilated
 
 
+@pytest.mark.parametrize("e, lam", [(2, 41), (3, 365)])
+def test_supplied_socle_costs_no_extra_basis(monkeypatch, e, lam):
+    # x^2 - yz over F_3 with sop (y, z): a supplied u is checked against the
+    # bases the socle certificate already built, so it adds no Buchberger run
+    from fsplit import groebner, ideals, splitting
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return buchberger(*args, **kwargs)
+
+    for module in (groebner, ideals, splitting):
+        monkeypatch.setattr(module, "buchberger", counted)
+    ring = Ring(PrimeField(3), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    I = ring.ideal(x**2 - y * z)
+    counts = []
+    for u in (None, x):
+        calls.clear()
+        assert gorenstein_splitting_number(I, (y, z), e, u=u).splitting_length == lam
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
 def test_gorenstein_route_examples():
     x2, y2 = R2.gens()
     rep = gorenstein_splitting_number(R2.ideal(), (x2, y2), 1, u=R2.one())
@@ -219,11 +247,15 @@ def test_cost_guard_partial_results():
 
 def test_report_json_roundtrip():
     rep = normalized_splitting_number(R2.ideal(R2.var("x") * R2.var("y")), 1)
-    assert SplittingReport.from_json_obj(rep.to_json_obj()) == rep
-    from fsplit import SignatureEstimate
-
+    obj = rep.to_json_obj()
+    assert json.loads(json.dumps(obj)) == obj == {
+        "e": 1, "q": 2, "lambda": "1", "dim": 1, "alpha": 0, "s_e": "1/2", "a_e": "1",
+    }
     est = f_signature_sequence(R2.ideal(R2.var("x") * R2.var("y")), 2)
-    assert SignatureEstimate.from_json_obj(est.to_json_obj()) == est
+    obj = est.to_json_obj()
+    assert json.loads(json.dumps(obj)) == obj
+    assert obj["reports"] == [r.to_json_obj() for r in est.reports]
+    assert (obj["tail_max"], obj["tail_min"], obj["positive"]) == ("1/2", "1/4", True)
 
 
 def test_a_e_counts_free_summands_scale():
@@ -260,7 +292,74 @@ def test_zero_variable_ring(field, e):
     ring = Ring(field, ())
     I = ring.ideal()
     J = splitting_ideal(I, e)
-    assert J.is_zero_ideal() and J.basis == ()
+    assert not J.basis and J.basis == ()
     assert dual_splitting_length(I, e) == 1
     rep = normalized_splitting_number(I, e)
     assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """(p, n, generators as {exponents: coefficient}): 1-2 forms of degree 1-2."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(1, 2))
+        monos = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+        gens.append(draw(st.dictionaries(
+            st.sampled_from(monos), st.integers(1, p - 1), min_size=1, max_size=3
+        )))
+    return p, n, gens
+
+
+def _substituted(ring, terms, images):
+    """sum c * prod images[i]^a_i over the terms, built with ring arithmetic."""
+    out = ring.zero()
+    for exps, c in terms.items():
+        mono = ring.from_int(c)
+        for v, a in zip(images, exps):
+            mono = mono * v**a
+        out = out + mono
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(homogeneous_cases(), st.sampled_from([1, 2]), st.data())
+def test_metamorphic_relations(case, e, data):
+    p, n, gens = case
+    q = p**e
+    names = ("x", "y", "z", "w")[: n + 1]
+    base = Ring(PrimeField(p), names[:n])
+    rep = normalized_splitting_number(
+        base.ideal(*(_substituted(base, g, base.gens()) for g in gens)), e
+    )
+    # a free variable: S[w]/I S[w] has q times the length and one more dimension
+    wider = Ring(PrimeField(p), names)
+    free = normalized_splitting_number(
+        wider.ideal(*(_substituted(wider, g, wider.gens()[:n]) for g in gens)), e
+    )
+    assert (free.splitting_length, free.dim, free.s_e) == (
+        rep.splitting_length * q, rep.dim + 1, rep.s_e
+    )
+    # F_p -> F_p(t): the same generators, one more transcendental
+    ft = Ring(RationalFunctionField(p, ("t",)), names[:n])
+    over_t = normalized_splitting_number(
+        ft.ideal(*(_substituted(ft, g, ft.gens()) for g in gens)), e
+    )
+    assert (over_t.splitting_length, over_t.dim, over_t.s_e) == (
+        rep.splitting_length, rep.dim, rep.s_e
+    )
+    assert (over_t.alpha, over_t.a_e) == (rep.alpha + 1, rep.a_e * q)
+    # x_i -> d_i x_pi(i) + sum_{j > i} a_ij x_pi(j) with d_i != 0 is invertible
+    # and linear, so it is a graded automorphism fixing the origin and n^[q]
+    perm = data.draw(st.permutations(range(n)))
+    x = base.gens()
+    images = []
+    for i in range(n):
+        v = data.draw(st.integers(1, p - 1)) * x[perm[i]]
+        for j in range(i + 1, n):
+            v = v + data.draw(st.integers(0, p - 1)) * x[perm[j]]
+        images.append(v)
+    moved = base.ideal(*(_substituted(base, g, images) for g in gens))
+    assert normalized_splitting_number(moved, e) == rep

@@ -19,6 +19,19 @@ points reject it with NotContaining. A Gorenstein route through a system of
 parameters and a socle generator is provided as an independent cross-check.
 The socle work (the bases of A = I + (sop) and of (A : n)) runs once per
 call, whether the socle element is computed or supplied.
+
+Both routes see K only through K + n^[q], so K is built modulo n^[q]. For a
+principal I = (f), K = (f^(q-1)) (Fedder, "F-purity and rational
+singularity", Trans. AMS 1983), and two facts give f^(q-1) modulo n^[q]
+exactly without forming f^(q-1):
+
+* in characteristic p, f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), since
+  q - 1 = sum_{i<e} (p-1) p^i, and raising g to the p^i multiplies its
+  exponents by p^i and applies the field's Frobenius to its coefficients
+  (``field.frobenius(c, i)``, the identity on F_p);
+* n^[q] is a monomial ideal, so dropping every term with an exponent >= q
+  is the ring map S -> S/n^[q], and it may be applied to each factor and
+  each partial product.
 """
 
 from __future__ import annotations
@@ -38,8 +51,17 @@ from .errors import (
     NotGorenstein,
 )
 from .groebner import ReducedGB, buchberger, ideal_member, normal_form
-from .ideals import colon_ideal, divide_exact, frobenius_power, ideal_sum
-from .poly import GREVLEX, IdealPresentation, Polynomial, Ring
+from .ideals import colon_ideal, frobenius_power, ideal_sum
+from .poly import (
+    EXPONENT_LIMIT,
+    GREVLEX,
+    IdealPresentation,
+    Polynomial,
+    Ring,
+    guard_mask,
+    pack,
+    unpack,
+)
 
 log = logging.getLogger("fsplit")
 
@@ -110,19 +132,74 @@ def _require_origin(I: IdealPresentation) -> None:
             raise NotContaining(f"{I} is not contained in the ideal of the origin")
 
 
-def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
-    """K = (I^[q] : I), with (0^[q] : 0) = S for the zero ideal.
+def _truncated_power(f: Polynomial, e: int) -> Polynomial:
+    """f^(q-1) with every term that has an exponent >= q dropped, q = p^e.
 
-    For a principal I = (f), S is a domain, so (f^q : f) = (f^(q-1)) exactly
-    and no elimination is needed.
+    Built as the product over i < e of (f^(p-1))^[p^i], from i = e - 1 down,
+    on packed monomials (``poly.pack``). A product m of a monomial truncated
+    at q and any monomial is the sum of the packed forms, with every field
+    below 2^16 + q, so m has an exponent >= q iff (m + B) & G is nonzero,
+    where B = pack((2^16 - q,) * n) and G is the guard mask. A term of
+    f^(p-1) enters factor i only if its exponents are below q / p^i, so
+    scaling its packed monomial by p^i moves no bit across a field. Needs
+    q < 2^16 when n > 0, as n^[q] itself does.
+    """
+    ring = f.ring
+    field = ring.field
+    p = field.characteristic
+    n = ring.nvars
+    q = p**e
+    guard = guard_mask(n)
+
+    def below(b: int) -> int:
+        return pack((EXPONENT_LIMIT - b,) * n)
+
+    bq = below(q)
+
+    def times(a: dict, b: dict) -> dict:
+        acc = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                if (m + bq) & guard:
+                    continue
+                c = field.mul(ca, cb)
+                old = acc.get(m)
+                acc[m] = c if old is None else field.add(old, c)
+        return {m: c for m, c in acc.items() if not field.is_zero(c)}
+
+    base = {pack(x): c for x, c in f.terms}
+    h = {0: field.one()}
+    for _ in range(p - 1):
+        h = times(h, base)
+    out = {0: field.one()}
+    for i in reversed(range(e)):
+        s, bi = p**i, below(p ** (e - i))
+        factor = {m * s: field.frobenius(c, i) for m, c in h.items() if not (m + bi) & guard}
+        out = times(out, factor)
+    return ring.from_terms({unpack(m, n): c for m, c in out.items()})
+
+
+def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
+    """K = (I^[q] : I) modulo n^[q], with (0^[q] : 0) = S for the zero ideal.
+
+    Returns generators of an ideal K' with K' + n^[q] = K + n^[q], since both
+    routes only ever see K + n^[q]. For a principal I = (f), S is a domain,
+    so K = (f^(q-1)) exactly (Fedder), and K' is generated by f^(q-1) with
+    every term that has an exponent >= q dropped (``_truncated_power``). When
+    that is zero, f^(q-1) lies in n^[q] and K' is n^[q] itself, so the primal
+    colon is S at once and the dual length 0. Any other I goes through
+    ``colon_ideal`` and K' = K.
     """
     ring = I.ring
     gens = I.nonzero_generators()
     if not gens:
         return IdealPresentation(ring, (ring.one(),))
     if len(gens) == 1:
-        f = gens[0]
-        return IdealPresentation(ring, (divide_exact(f.frobenius(e), f),))
+        k = _truncated_power(gens[0], e)
+        if k.is_zero():
+            return frobenius_power(ring.variable_ideal(), e)
+        return IdealPresentation(ring, (k,))
     K = colon_ideal(frobenius_power(I, e), I)
     return K.presentation()
 
@@ -290,17 +367,30 @@ def gorenstein_splitting_number(
 def f_signature_sequence(
     I: IdealPresentation, e_max: int, budget: int = DEFAULT_BUDGET
 ) -> SignatureEstimate:
-    """Reports for e = 0..e_max with tail extrema over e >= 1 and positivity."""
+    """Reports for e = 0..e_max with tail extrema over e >= 1 and positivity.
+
+    Frobenius is flat on S, so lambda_(e+1) <= p^n * lambda_e; a step that
+    breaks the bound raises InternalInconsistency.
+    """
     if e_max < 1:
         raise ValueError("e_max must be positive")
     reports = []
     for e in range(e_max + 1):
         try:
-            reports.append(normalized_splitting_number(I, e, budget))
+            rep = normalized_splitting_number(I, e, budget)
         except CostGuardExceeded as exc:
             raise CostGuardExceeded(
                 str(exc), partial=_assemble_estimate(tuple(reports))
             ) from exc
+        if reports:
+            prev = reports[-1].splitting_length
+            bound = I.ring.field.characteristic**I.ring.nvars * prev
+            if rep.splitting_length > bound:
+                raise InternalInconsistency(
+                    f"{I} in {I.ring!r}: lambda_{e} = {rep.splitting_length} exceeds "
+                    f"p^n * lambda_{e - 1} = {bound} (lambda_{e - 1} = {prev})"
+                )
+        reports.append(rep)
     return _assemble_estimate(tuple(reports))
 
 

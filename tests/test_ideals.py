@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fsplit import (
     GREVLEX,
@@ -18,11 +19,13 @@ from fsplit import (
     buchberger,
     colon_ideal,
     divide_exact,
+    dual_splitting_length,
     frobenius_power,
     ideal_member,
     ideal_sum,
     intersect,
     krull_dimension,
+    splitting_ideal,
     validate_reduced_gb,
 )
 from fsplit.splitting import _colon_multiplier
@@ -114,8 +117,9 @@ def test_hypersurface_colon_law(p, expr_e):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("e", [1, 2])
 def test_principal_colon_multiplier_closed_form(p, e):
-    # K = (f^(q-1)) from _colon_multiplier against the elimination route, on
-    # the corpus of test_hypersurface_colon_law and one F_p(t) generator
+    # K + n^[q] from _colon_multiplier against the elimination route, on the
+    # corpus of test_hypersurface_colon_law and one F_p(t) generator: both
+    # routes only see K modulo n^[q], so the reduced bases must be equal
     ring = Ring(PrimeField(p), ("x", "y"))
     x, y = ring.gens()
     fpt = Ring(RationalFunctionField(p, ("t",)), ("x", "y"))
@@ -123,9 +127,63 @@ def test_principal_colon_multiplier_closed_form(p, e):
     t = fpt.constant(fpt.field.transcendental("t"))
     for f in [x, x * y, x + y, y**2 - x**3, x**2 - y**2, v**2 - t * u**3]:
         I = f.ring.ideal(f)
-        got = buchberger(_colon_multiplier(I, e))
-        want = colon_ideal(frobenius_power(I, e), I)
-        assert same_ideal(got, want), (p, e, str(f))
+        nq = frobenius_power(f.ring.variable_ideal(), e)
+        got = buchberger(ideal_sum(_colon_multiplier(I, e), nq))
+        want = buchberger(ideal_sum(colon_ideal(frobenius_power(I, e), I).presentation(), nq))
+        assert got.basis == want.basis, (p, e, str(f))
+
+
+def _without_high_terms(f, q):
+    """f with every term that has an exponent >= q removed."""
+    return f.ring.from_terms({x: c for x, c in f.terms if max(x, default=0) < q})
+
+
+@st.composite
+def principal_cases(draw):
+    """(f, e): 1-3 terms of degree <= 2 per variable over F_2, F_3, F_5 or F_3(t)."""
+    field = draw(st.sampled_from([
+        PrimeField(2), PrimeField(3), PrimeField(5), RationalFunctionField(3, ("t",))
+    ]))
+    p = field.characteristic
+    n = draw(st.integers(1, 3))
+    ring = Ring(field, ("x", "y", "z")[:n])
+    f = ring.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        c = ring.from_int(draw(st.integers(1, p - 1)))
+        if field.transcendentals:
+            t = ring.constant(field.transcendental("t"))
+            c = c * t ** draw(st.integers(0, 2))
+        f = f + c * ring.monomial(draw(st.tuples(*[st.integers(0, 2)] * n)))
+    assume(not f.is_zero())
+    return f, draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(principal_cases())
+def test_principal_colon_multiplier_is_truncated_power(case):
+    # the truncated Frobenius product equals f^(q-1) built by repeated
+    # squaring, with every term that has an exponent >= q removed
+    f, e = case
+    q = f.ring.field.characteristic**e
+    want = _without_high_terms(f ** (q - 1), q)
+    got = _colon_multiplier(f.ring.ideal(f), e).generators
+    if want.is_zero():
+        assert got == frobenius_power(f.ring.variable_ideal(), e).generators
+    else:
+        assert got == (want,)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_cusp_at_two_truncates_to_zero(e):
+    # (y^2 - x^3)^(q-1) lies in n^[q] at p = 2, so K modulo n^[q] is n^[q],
+    # and both routes give lambda = 0
+    x, y = R2.gens()
+    I = R2.ideal(y**2 - x**3)
+    nq = frobenius_power(R2.variable_ideal(), e)
+    assert _without_high_terms((y**2 - x**3) ** (2**e - 1), 2**e).is_zero()
+    assert _colon_multiplier(I, e) == nq
+    assert splitting_ideal(I, e).is_unit_ideal()
+    assert dual_splitting_length(I, e) == 0
 
 
 def test_containment_properties():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fsplit import (
     CostGuardExceeded,
+    InternalInconsistency,
     InvalidSocle,
     NotArtinian,
     NotContaining,
@@ -31,6 +33,7 @@ from fsplit import (
     socle_generator,
     splitting_ideal,
 )
+from fsplit import splitting
 from corpus import CORPUS, sop_polynomials
 
 R2 = Ring(PrimeField(2), ("x", "y"))
@@ -97,6 +100,14 @@ def test_ideal_through_the_origin_not_rejected():
     x, y = R3.gens()
     rep = normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1)
     assert isinstance(rep, SplittingReport)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): global dimension")
+def test_local_value_at_the_origin():
+    # (x^2 - x, xy - y) = (x, y) cap (x - 1): the local ring at the origin is
+    # the field, so s_1 = 1; the global dimension 1 of the line x = 1 gives 1/3
+    x, y = R3.gens()
+    assert normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1).s_e == 1
 
 
 def test_s_zero_is_one_everywhere():
@@ -234,6 +245,23 @@ def test_signature_sequences():
     x5, y5 = R5.gens()
     est = f_signature_sequence(R5.ideal(y5**2 - x5**3), 2)
     assert est.values() == (1, 0, 0) and not est.positive
+
+
+def test_signature_sequence_checks_the_flatness_bound(monkeypatch):
+    # lambda_(e+1) <= p^n * lambda_e; a report that breaks it must raise
+    x2, y2 = R2.gens()
+    I = R2.ideal(x2 * y2)
+    honest = splitting.normalized_splitting_number
+
+    def inflated(J, e, budget):
+        rep = honest(J, e, budget)
+        return dataclasses.replace(rep, splitting_length=5) if e == 2 else rep
+
+    monkeypatch.setattr(splitting, "normalized_splitting_number", inflated)
+    with pytest.raises(InternalInconsistency) as info:
+        f_signature_sequence(I, 3)
+    msg = str(info.value)
+    assert "F_2[x,y]" in msg and "lambda_2 = 5" in msg and "lambda_1 = 1" in msg
 
 
 def test_cost_guard_partial_results():

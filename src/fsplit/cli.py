@@ -173,7 +173,10 @@ def _cmd_probe(args) -> None:
     spec = _load(args)
     budget = _budget(args)
     primes = [_parse_prime_token(spec, tok) for tok in args.primes.split("|")]
-    thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
+    try:
+        thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
     report = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget)
     payload = {"schema": SCHEMA, "command": "probe", "ring": _ring_summary(spec)}
     payload.update(report.to_json_obj())

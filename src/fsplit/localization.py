@@ -24,13 +24,6 @@ class CoordinatePrime:
     """A prime ideal generated by a subset of the ring variables."""
 
     variables: tuple
-    contains_ideal: bool = False
-
-    @classmethod
-    def containing(cls, I: IdealPresentation, names) -> "CoordinatePrime":
-        P = cls(tuple(names))
-        _verify_containment(I, P)
-        return cls(P.variables, contains_ideal=True)
 
     def subset_of(self, other: "CoordinatePrime") -> bool:
         return set(self.variables) <= set(other.variables)

@@ -1,15 +1,20 @@
-"""Brute-force verifier: dense linear algebra over F_p on the box [0,q)^n.
+"""Brute-force verifier: linear algebra over F_p on the box [0,q)^n.
 
 No Groebner machinery is used anywhere here; this module exists to check the
-main path and to pin derived fixture values. Simplicity over speed, with an
-explicit matrix-entry budget.
+main path and to pin derived fixture values. Simplicity over speed:
+
+- a row is a sparse ``{column: residue}`` dict, built by ``_row``;
+- ``_rref_mod_p`` keeps a span as monic pivot rows in reduced row echelon
+  form, reducing each new row with ``_reduce``. A row space has exactly one
+  such form, so ranks, pivots and null-space bases do not depend on row order;
+- the budget caps each matrix's dense shape, rows times columns, before any
+  elimination starts.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
-
-import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, FieldMismatch, NotHomogeneous
 from .fields import PrimeField
@@ -21,57 +26,68 @@ def _require_prime_field(ring):
         raise FieldMismatch("the oracle only supports F_p coefficients")
 
 
-def _rref_mod_p(rows: list, ncols: int, p: int, budget: int):
-    """Reduced row echelon form; returns (matrix, pivot column list).
+def _row(g, mono, index) -> dict:
+    """mono * g over the indexed monomials; terms outside the index are dropped."""
+    row = {}
+    for exps, c in g.terms:
+        col = index.get(tuple(a + b for a, b in zip(exps, mono)))
+        if col is not None:
+            row[col] = c
+    return row
 
-    Pivots are the first nonzero entry from the top, so the result is
-    deterministic; the rank is the number of pivots.
+
+def _reduce(row: dict, pivots: dict, p: int) -> dict:
+    """Reduce row in place against monic rows {pivot column: row} in RREF.
+
+    A pivot row is zero on every other pivot column, so one pass over the
+    pivot columns of the original row clears them all.
     """
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64), []
-    if len(rows) * ncols > budget:
+    for c in [c for c in row if c in pivots]:
+        a = row[c]
+        for k, v in pivots[c].items():
+            r = (row.get(k, 0) - a * v) % p
+            if r:
+                row[k] = r
+            else:
+                del row[k]
+    return row
+
+
+def _rref_mod_p(rows: list, ncols: int, p: int, budget: int) -> dict:
+    """The RREF of the rows' span as {pivot column: monic row}; consumes rows.
+
+    The rank is the number of pivots.
+    """
+    if rows and len(rows) * ncols > budget:
         raise BudgetExceeded(f"{len(rows)}x{ncols} matrix exceeds budget {budget}")
-    M = np.array(rows, dtype=np.int64) % p
-    nrows = M.shape[0]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        below = np.flatnonzero(M[rank:, col])
-        if not below.size:
+    pivots: dict = {}
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        if not row:
             continue
-        pivot = rank + int(below[0])
-        if pivot != rank:
-            M[[rank, pivot]] = M[[pivot, rank]]
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank] = M[rank] * inv % p
-        others = np.flatnonzero(M[:, col])
-        others = others[others != rank]
-        if others.size:
-            M[others] = (M[others] - np.outer(M[others, col], M[rank])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return M[:rank], pivots
+        col = min(row)
+        inv = pow(row[col], p - 2, p)
+        new = {col: {k: v * inv % p for k, v in row.items()}}
+        for other in pivots.values():
+            if col in other:
+                _reduce(other, new, p)
+        pivots.update(new)
+    return pivots
 
 
 def _nullspace_mod_p(rows: list, ncols: int, p: int, budget: int) -> list:
-    """Deterministic basis of the right nullspace as coefficient vectors."""
-    R, pivots = _rref_mod_p(rows, ncols, p, budget)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(R[r, f])) % p
-        basis.append(v)
-    return basis
+    """Basis of the right null space, one sparse vector per free column."""
+    R = _rref_mod_p(rows, ncols, p, budget)
+    basis = {f: {f: 1} for f in range(ncols) if f not in R}
+    for c, row in R.items():
+        for k, a in row.items():
+            if k != c:
+                basis[k][c] = p - a
+    return list(basis.values())
 
 
-def _box_index(q: int, n: int):
-    mons = list(product(range(q), repeat=n))
-    return mons, {m: i for i, m in enumerate(mons)}
+def _box_index(q: int, n: int) -> dict:
+    return {m: i for i, m in enumerate(product(range(q), repeat=n))}
 
 
 def oracle_length_mod_bracket(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -81,23 +97,10 @@ def oracle_length_mod_bracket(I: IdealPresentation, e: int, budget: int = DEFAUL
     ring = I.ring
     _require_prime_field(ring)
     p = ring.field.characteristic
-    q = p**e
-    n = ring.nvars
-    qn = q**n
-    mons, index = _box_index(q, n)
-    rows = []
-    for g in I.nonzero_generators():
-        for m in mons:
-            row = [0] * qn
-            nonzero = False
-            for exps, c in g.terms:
-                shifted = tuple(a + b for a, b in zip(exps, m))
-                if all(a < q for a in shifted):
-                    row[index[shifted]] = (row[index[shifted]] + c) % p
-                    nonzero = True
-            if nonzero and any(row):
-                rows.append(row)
-    return qn - len(_rref_mod_p(rows, qn, p, budget)[1])
+    q, n = p**e, ring.nvars
+    box = _box_index(q, n)
+    rows = [row for g in I.nonzero_generators() for m in box if (row := _row(g, m, box))]
+    return q**n - len(_rref_mod_p(rows, q**n, p, budget))
 
 
 def _degree_monomials(n: int, d: int):
@@ -135,70 +138,44 @@ def oracle_dual_splitting_length(
     p = ring.field.characteristic
     q = p**e
     n = ring.nvars
-    qn = q**n
     gens = I.nonzero_generators()
     if not gens:
-        return qn
+        return q**n
     powers = [g.frobenius(e) for g in gens]
-    _, box_index = _box_index(q, n)
+    box = _box_index(q, n)
 
-    max_deg = n * (q - 1)
-    mono_cache: dict = {}
-
+    @cache
     def monos(d):
-        if d not in mono_cache:
-            mono_cache[d] = _degree_monomials(n, d)
-        return mono_cache[d]
+        """The degree-d monomials and their column index."""
+        ms = _degree_monomials(n, d)
+        return ms, {m: i for i, m in enumerate(ms)}
 
-    # echelon bases of the graded pieces of I^[q] that can receive products
-    piece_cache: dict = {}
-
+    @cache
     def bracket_piece(m):
-        if m not in piece_cache:
-            rows = []
-            for gq, d0 in zip(powers, degs):
-                shift_deg = m - q * d0
-                if shift_deg < 0:
-                    continue
-                for mono in monos(shift_deg):
-                    target = monos(m)
-                    idx = {mm: i for i, mm in enumerate(target)}
-                    row = [0] * len(target)
-                    for exps, c in gq.terms:
-                        key = tuple(a + b for a, b in zip(exps, mono))
-                        row[idx[key]] = (row[idx[key]] + c) % p
-                    rows.append(row)
-            piece_cache[m] = _rref_mod_p(rows, len(monos(m)), p, budget)
-        return piece_cache[m]
+        """The RREF of the degree-m piece of I^[q], one row per shifted power."""
+        index = monos(m)[1]
+        rows = [
+            _row(gq, mono, index)
+            for gq, d0 in zip(powers, degs)
+            if m >= q * d0
+            for mono in monos(m - q * d0)[0]
+        ]
+        return _rref_mod_p(rows, len(index), p, budget)
 
     image_rows = []
-    for d in range(max_deg + 1):
-        Sd = monos(d)
-        constraints = []
+    for d in range(n * (q - 1) + 1):
+        Sd = monos(d)[0]
+        constraints = []  # residual coordinates x unknowns; zero rows stay, the budget counts them
         for g, d0 in zip(gens, degs):
-            target = monos(d + d0)
-            idx = {mm: i for i, mm in enumerate(target)}
-            E, pivots = bracket_piece(d + d0)
-            cols = []
-            for mono in Sd:
-                vec = np.zeros(len(target), dtype=np.int64)
-                for exps, c in g.terms:
-                    key = tuple(a + b for a, b in zip(exps, mono))
-                    vec[idx[key]] = (vec[idx[key]] + c) % p
-                for r, piv in enumerate(pivots):
-                    if vec[piv]:
-                        vec = (vec - vec[piv] * E[r]) % p
-                cols.append(vec)
-            block = np.stack(cols, axis=1)  # residual coords x unknowns
-            constraints.extend(block.tolist())
-        kernel = _nullspace_mod_p(constraints, len(Sd), p, budget)
-        for v in kernel:
-            row = [0] * qn
-            nonzero = False
-            for coeff, mono in zip(v, Sd):
-                if coeff and all(a < q for a in mono):
-                    row[box_index[mono]] = int(coeff)
-                    nonzero = True
-            if nonzero:
+            index = monos(d + d0)[1]
+            E = bracket_piece(d + d0)
+            block = [{} for _ in index]
+            for j, mono in enumerate(Sd):
+                for k, v in _reduce(_row(g, mono, index), E, p).items():
+                    block[k][j] = v
+            constraints += block
+        for v in _nullspace_mod_p(constraints, len(Sd), p, budget):
+            row = {box[Sd[j]]: c for j, c in v.items() if Sd[j] in box}
+            if row:
                 image_rows.append(row)
-    return len(_rref_mod_p(image_rows, qn, p, budget)[1])
+    return len(_rref_mod_p(image_rows, q**n, p, budget))

@@ -93,12 +93,6 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
-
 
 def _parse_expr(ring: Ring, toks: _Tokens) -> Polynomial:
     result = _parse_term(ring, toks)

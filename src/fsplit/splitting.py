@@ -360,7 +360,7 @@ def gorenstein_splitting_number(
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
     uq = u.frobenius(e)
     C = colon_ideal(B, IdealPresentation(ring, (uq,)))
-    lam = 0 if C.is_unit_ideal() else length(C)
+    lam = length(C)
     return _make_report(ring, e, lam, len(sop))
 
 

@@ -249,6 +249,16 @@ def test_se_bad_values_are_usage_errors(files, capsys, monkeypatch, argv, env, n
     assert err.startswith("fsplit: error: ") and needle in err
 
 
+@pytest.mark.parametrize("thresholds", ["abc", "1/0"], ids=["not-a-number", "zero-denominator"])
+def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
+    code, out, err = run(
+        capsys, "probe", files["node3"], "--primes", "x", "--e", "1", "--thresholds", thresholds
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert err.startswith("fsplit: error: ") and "--thresholds must be rationals" in err
+
+
 def test_successive_calls_share_one_parser(files, capsys):
     # main builds its parser once per process: a call must not see what an
     # earlier call parsed, so each gives what it gives in a fresh process

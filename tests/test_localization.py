@@ -55,10 +55,9 @@ def test_localize_zero_prime():
 def test_not_containing():
     with pytest.raises(NotContaining):
         localize_at_coordinate_prime(NODE3, CoordinatePrime(("z",)))
-    with pytest.raises(NotContaining):
-        CoordinatePrime.containing(NODE3, ("z",))
-    P = CoordinatePrime.containing(NODE3, ("x",))
-    assert P.contains_ideal
+    ring, ideal = localize_at_coordinate_prime(NODE3, CoordinatePrime(("x",)))
+    assert ring.field == RationalFunctionField(2, ("y", "z"))
+    assert [str(g) for g in ideal.generators] == ["x"]
 
 
 def test_s_e_at_prime_values():

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fsplit
 from fsplit import BudgetExceeded, FieldMismatch, NotHomogeneous, PrimeField, Ring
 from fsplit import RationalFunctionField
 from fsplit.oracle import oracle_dual_splitting_length, oracle_length_mod_bracket
@@ -54,6 +60,31 @@ def test_budget():
     x, y = R2.gens()
     with pytest.raises(BudgetExceeded):
         oracle_length_mod_bracket(R2.ideal(x * y), 3, budget=10)
+
+
+def test_budget_caps_the_dense_shape():
+    # the first matrix over budget is 21 nonzero truncated multiples x 16
+    # columns, and for the cone the constraints of one degree, zero rows
+    # included: 378 residual coordinates x 325 unknowns
+    x, y = R2.gens()
+    I = R2.ideal(x * y, x**2 + y**2)
+    assert oracle_length_mod_bracket(I, 2, budget=336) == 4
+    with pytest.raises(BudgetExceeded):
+        oracle_length_mod_bracket(I, 2, budget=335)
+    R = Ring(PrimeField(3), ("x", "y", "z"))
+    x, y, z = R.gens()
+    cone = R.ideal(x**2 - y * z)
+    assert oracle_dual_splitting_length(cone, 2, budget=122850) == 41
+    with pytest.raises(BudgetExceeded):
+        oracle_dual_splitting_length(cone, 2, budget=122849)
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(fsplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import fsplit, fsplit.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_rank_determinism():

@@ -7,9 +7,26 @@ in canonical form: gcd(numerator, denominator) = 1, denominator monic under
 grevlex on the transcendentals, zero represented uniquely as 0/1. Canonical
 form makes structural equality valid, which everything downstream relies on.
 
-Most operands met in practice have a one-term numerator or denominator (a
-monomial c*t^e, most often the constant 1), so the helpers for polynomials in
-the transcendentals take exact single-term cases before the general code:
+F_p[t1, ..., tm] is a UFD and both operands are canonical, so the field
+operations follow Henrici's rules for reduced fractions (Knuth, TAOCP vol. 2,
+4.5.1) and take only the gcds that can differ from 1. For a = an/ad, b = bn/bd:
+
+- ``add`` with ad = bd = d takes gcd(an + bn, d) only, none when d = 1.
+  Otherwise let g = gcd(ad, bd): t = an*(bd/g) + bn*(ad/g) is, modulo ad/g, a
+  product of factors prime to ad/g, and likewise modulo bd/g, so gcd(t, g) is
+  the only gcd left, and none when g = 1.
+- ``mul`` cancels gcd(an, bd) and gcd(bn, ad), none against a denominator 1;
+  each numerator factor left is prime to both denominator factors. On four
+  monomials the gcds cancel exponentwise: c*t^u/t^v * d*t^w/t^x = c*d*t^E+/t^E-
+  for E = u - v + w - x.
+- ``inv`` swaps the parts and rescales by the numerator's leading coefficient,
+  ``div`` is ``mul`` by the inverse, and ``neg`` negates coefficients in place.
+
+Quotients and products of monic polynomials are monic, and the canonical form
+is unique, so each rule gives the RatFunc the cross-multiplied fraction has.
+
+Most operands have a one-term numerator or denominator (c*t^e, often 1), so
+the helpers take exact single-term cases before the general code:
 
 - ``_tp_gcd`` with a one-term argument c*t^e and a nonzero f returns t^g, g the
   componentwise minimum of e and every exponent of f. The t_i are the only
@@ -19,7 +36,8 @@ the transcendentals take exact single-term cases before the general code:
 - ``_tp_divexact`` by a one-term divisor c*t^e shifts every exponent down by e
   and multiplies by 1/c. Multiplying by a monomial maps terms to terms one to
   one, so the quotient exists exactly when no shifted exponent is negative,
-  and ``None`` is returned otherwise.
+  and ``None`` is returned otherwise. A longer divisor drains the remainder
+  through a heap of ``_tp_key``, each key computed once.
 - ``_tp_lead`` and ``_freeze`` of a one-term dict return its only term, with no
   grevlex key and no sort.
 
@@ -28,6 +46,9 @@ forms do not depend on which path ran.
 """
 
 from __future__ import annotations
+
+import heapq
+import operator
 
 from .errors import (
     DivisionByZero,
@@ -69,14 +90,15 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tp_grevlex(e):
-    return (sum(e), tuple(-a for a in reversed(e)))
+def _tp_key(e):
+    """Key whose ascending order is grevlex-descending: (-degree, reversed exponents)."""
+    return (-sum(e), e[::-1])
 
 
 def _tp_lead(a):
     if len(a) == 1:
         return next(iter(a.items()))
-    e = max(a, key=_tp_grevlex)
+    e = min(a, key=_tp_key)
     return e, a[e]
 
 
@@ -91,12 +113,8 @@ def _tp_add(a, b, p):
     return out
 
 
-def _tp_neg(a, p):
-    return {e: p - c for e, c in a.items()}
-
-
 def _tp_sub(a, b, p):
-    return _tp_add(a, _tp_neg(b, p), p)
+    return _tp_add(a, {e: p - c for e, c in b.items()}, p)
 
 
 def _tp_scale(a, c, p):
@@ -110,7 +128,7 @@ def _tp_mul(a, b, p):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(operator.add, e1, e2))
             v = (out.get(e, 0) + c1 * c2) % p
             if v:
                 out[e] = v
@@ -134,53 +152,66 @@ def _tp_divexact(a, b, p):
         return {}
     eb, cb = _tp_lead(b)
     ib = pow(cb, p - 2, p)
+    q = {}
     if len(b) == 1:
-        q = {}
         for e, c in a.items():
-            m = tuple(x - y for x, y in zip(e, eb))
+            m = tuple(map(operator.sub, e, eb))
             if any(x < 0 for x in m):
                 return None
             q[m] = c * ib % p
         return q
-    q = {}
+    tail = [(e, c) for e, c in b.items() if e != eb]
     r = dict(a)
-    while r:
-        er, cr = _tp_lead(r)
-        m = tuple(x - y for x, y in zip(er, eb))
+    heap = [_tp_key(e) for e in r]
+    heapq.heapify(heap)
+    while heap:
+        er = heapq.heappop(heap)[1][::-1]
+        cr = r.pop(er, 0)
+        if not cr:
+            continue
+        m = tuple(map(operator.sub, er, eb))
         if any(x < 0 for x in m):
             return None
         f = cr * ib % p
         q[m] = f
-        for e, c in b.items():
-            ee = tuple(x + y for x, y in zip(e, m))
-            v = (r.get(ee, 0) - f * c) % p
-            if v:
-                r[ee] = v
-            else:
-                r.pop(ee, None)
+        for e, c in tail:
+            ee = tuple(map(operator.add, e, m))
+            v = r.get(ee)
+            if v is None:
+                heapq.heappush(heap, _tp_key(ee))
+            r[ee] = ((v or 0) - f * c) % p
     return q
 
 
+def _tp_is_const(a):
+    """Whether a nonzero a is a constant; a monic constant is 1."""
+    return len(a) == 1 and not any(next(iter(a)))
+
+
+def _tp_cancel(a, d, p):
+    """a/g and d/g for g = gcd(a, d), a and d nonzero; no gcd when d is constant."""
+    if _tp_is_const(d):
+        return a, d
+    g = _tp_gcd(a, d, p)
+    if _tp_is_const(g):
+        return a, d
+    return _tp_divexact(a, g, p), _tp_divexact(d, g, p)
+
+
 def _tp_univar_gcd(a, b, p):
-    # dicts over 1-tuples; classic Euclid with monic remainders
+    """Monic gcd of dicts over 1-tuples: Euclid on dense coefficient lists."""
+    a, b = ([f.get((d,), 0) for d in range(max(f)[0] + 1)] for f in (a, b))
     while b:
-        db = max(e[0] for e in b)
-        ib = pow(b[(db,)], p - 2, p)
-        r = dict(a)
-        while r:
-            dr = max(e[0] for e in r)
-            if dr < db:
-                break
-            f = r[(dr,)] * ib % p
-            for e, c in b.items():
-                ee = (e[0] + dr - db,)
-                v = (r.get(ee, 0) - f * c) % p
-                if v:
-                    r[ee] = v
-                else:
-                    r.pop(ee, None)
-        a, b = b, r
-    return _tp_monic(a, p)
+        db, ib = len(b) - 1, pow(b[-1], p - 2, p)
+        while len(a) > db:
+            f, s = a[-1] * ib % p, len(a) - 1 - db
+            for i, c in enumerate(b):
+                a[s + i] = (a[s + i] - f * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    ia = pow(a[-1], p - 2, p)
+    return {(d,): c * ia % p for d, c in enumerate(a) if c}
 
 
 def _tp_split_main(a):
@@ -204,7 +235,7 @@ def _tp_content_pp(a, p):
     cont = {}
     for d in sorted(u):
         cont = _tp_gcd(cont, u[d], p)
-    if len(cont) == 1 and not any(next(iter(cont))):
+    if _tp_is_const(cont):
         return cont, a  # content is the constant 1; a is already primitive
     pp = {}
     for d, coeff in u.items():
@@ -259,7 +290,7 @@ def _tp_str(a, names):
     if not a:
         return "0"
     parts = []
-    for e in sorted(a, key=_tp_grevlex, reverse=True):
+    for e in sorted(a, key=_tp_key):
         c = a[e]
         factors = []
         if c != 1 or not any(e):
@@ -298,11 +329,7 @@ class RatFunc:
 def _freeze(d):
     if len(d) == 1:
         return tuple(d.items())
-    return tuple(sorted(d.items(), key=lambda item: _tp_grevlex(item[0]), reverse=True))
-
-
-def _thaw(t):
-    return dict(t)
+    return tuple(sorted(d.items(), key=lambda item: _tp_key(item[0])))
 
 
 class FieldDescriptor:
@@ -416,10 +443,7 @@ class RationalFunctionField(FieldDescriptor):
             raise DivisionByZero("zero denominator in " + repr(self))
         if not num:
             return self._zero
-        g = _tp_gcd(num, den, p)
-        if len(g) != 1 or any(next(iter(g))):
-            num = _tp_divexact(num, g, p)
-            den = _tp_divexact(den, g, p)
+        num, den = _tp_cancel(num, den, p)
         _, lc = _tp_lead(den)
         if lc != 1:
             ic = pow(lc, p - 2, p)
@@ -464,35 +488,51 @@ class RationalFunctionField(FieldDescriptor):
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b):
+        if not a.num:
+            return b
+        if not b.num:
+            return a
         p = self.characteristic
-        an, ad, bn, bd = _thaw(a.num), _thaw(a.den), _thaw(b.num), _thaw(b.den)
-        num = _tp_add(_tp_mul(an, bd, p), _tp_mul(bn, ad, p), p)
-        return self._canonical(num, _tp_mul(ad, bd, p))
+        an, ad, bn, bd = dict(a.num), dict(a.den), dict(b.num), dict(b.den)
+        if a.den == b.den:
+            return self._canonical(_tp_add(an, bn, p), ad)
+        # the denominators differ, so the sum is nonzero
+        g = _tp_gcd(ad, bd, p)
+        if not _tp_is_const(g):
+            ad, bd = _tp_divexact(ad, g, p), _tp_divexact(bd, g, p)
+        num, g = _tp_cancel(_tp_add(_tp_mul(an, bd, p), _tp_mul(bn, ad, p), p), g, p)
+        return RatFunc(_freeze(num), _freeze(_tp_mul(_tp_mul(ad, bd, p), g, p)))
 
     def neg(self, a):
-        return RatFunc(_freeze(_tp_neg(_thaw(a.num), self.characteristic)), a.den)
+        return RatFunc(tuple((e, self.characteristic - c) for e, c in a.num), a.den)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if not a.num or not b.num:
+            return self._zero
         p = self.characteristic
-        num = _tp_mul(_thaw(a.num), _thaw(b.num), p)
-        den = _tp_mul(_thaw(a.den), _thaw(b.den), p)
-        return self._canonical(num, den)
+        if len(a.num) == len(a.den) == len(b.num) == len(b.den) == 1:
+            ((u, c),), ((v, _),), ((w, d),), ((x, _),) = a.num, a.den, b.num, b.den
+            e = [i - j + k - l for i, j, k, l in zip(u, v, w, x)]
+            num, den = tuple(k if k > 0 else 0 for k in e), tuple(0 if k > 0 else -k for k in e)
+            return RatFunc(((num, c * d % p),), ((den, 1),))
+        an, bd = _tp_cancel(dict(a.num), dict(b.den), p)
+        bn, ad = _tp_cancel(dict(b.num), dict(a.den), p)
+        return RatFunc(_freeze(_tp_mul(an, bn, p)), _freeze(_tp_mul(ad, bd, p)))
 
     def inv(self, a):
         if not a.num:
             raise DivisionByZero("inverse of 0 in " + repr(self))
-        return self._canonical(_thaw(a.den), _thaw(a.num))
+        p = self.characteristic
+        ic = pow(a.num[0][1], p - 2, p)  # a.num[0] is the leading term
+        return RatFunc(*(tuple((e, c * ic % p) for e, c in t) for t in (a.den, a.num)))
 
     def div(self, a, b):
         if not b.num:
             raise DivisionByZero("division by 0 in " + repr(self))
-        p = self.characteristic
-        num = _tp_mul(_thaw(a.num), _thaw(b.den), p)
-        den = _tp_mul(_thaw(a.den), _thaw(b.num), p)
-        return self._canonical(num, den)
+        return self.mul(a, self.inv(b))
 
     def pow(self, a, k: int):
         """a^k; a^(-k) is inv(a)^k, so 0^(-k) raises DivisionByZero."""
@@ -517,8 +557,8 @@ class RationalFunctionField(FieldDescriptor):
 
     def format(self, a) -> str:
         names = self.transcendentals
-        num = _tp_str(_thaw(a.num), names)
+        num = _tp_str(dict(a.num), names)
         if a.den == self._one.den:
             return num
-        den = _tp_str(_thaw(a.den), names)
+        den = _tp_str(dict(a.den), names)
         return f"({num})/({den})"

@@ -10,10 +10,11 @@ from fsplit import (
     DuplicateVariable,
     NonPrimeCharacteristic,
     PrimeField,
+    RatFunc,
     RationalFunctionField,
     Ring,
 )
-from fsplit.fields import _tp_divexact, _tp_gcd, _tp_mul
+from fsplit.fields import _tp_add, _tp_divexact, _tp_gcd, _tp_lead, _tp_mul
 
 F5 = PrimeField(5)
 F2T = RationalFunctionField(2, ("t",))
@@ -218,3 +219,107 @@ def test_three_transcendentals_canonical(a):
     assert F5TTT.sub(a, a) == F5TTT.zero()
     if not F5TTT.is_zero(a):
         assert F5TTT.mul(a, F5TTT.inv(a)) == F5TTT.one()
+
+
+# -- Henrici's rules against cross-multiplication --------------------------------
+
+
+def _reference(field, op, a, b=None):
+    """op by cross-multiplying and one full gcd in ``_canonical``."""
+    p = field.characteristic
+    an, ad = dict(a.num), dict(a.den)
+    if op == "inv":
+        return field._canonical(ad, an)
+    bn, bd = dict(b.num), dict(b.den)
+    if op == "sub":
+        op, bn = "add", {e: p - c for e, c in bn.items()}
+    if op == "add":
+        num = _tp_add(_tp_mul(an, bd, p), _tp_mul(bn, ad, p), p)
+        return field._canonical(num, _tp_mul(ad, bd, p))
+    if op == "div":
+        bn, bd = bd, bn
+    return field._canonical(_tp_mul(an, bn, p), _tp_mul(ad, bd, p))
+
+
+HENRICI_FIELDS = [(F2T, 3, 3), (F3TT, 3, 2), (F5TTT, 2, 1)]  # field, terms, exponent
+
+
+@st.composite
+def operand_pairs(draw, field, max_terms, max_exp):
+    """a, b whose denominators are equal, share a factor c, or are prime to each
+    other, and some with c across a numerator and the other denominator, so
+    every branch of add and mul runs; a is sometimes zero."""
+    p, m = field.characteristic, len(field.transcendentals)
+    an, bn = (draw(tpolys(p, m, max_terms, max_exp)) for _ in range(2))
+    ad, bd = (draw(tpolys(p, m, max_terms, max_exp)) for _ in range(2))
+    c = draw(tpolys(p, m, 2, 1))
+    share = draw(st.sampled_from(["dens", "cross", "equal", "none"]))
+    if share == "dens":
+        ad, bd = _tp_mul(ad, c, p), _tp_mul(bd, c, p)
+    elif share == "cross":
+        an, bd = _tp_mul(an, c, p), _tp_mul(bd, c, p)
+    elif share == "equal":
+        bd = ad
+    if draw(st.integers(0, 9)) == 0:
+        an = {}
+    return rf(field, an, ad), rf(field, bn, bd)
+
+
+@pytest.mark.parametrize("field,max_terms,max_exp", HENRICI_FIELDS, ids=repr)
+@given(data=st.data())
+def test_henrici_matches_cross_multiplication(field, max_terms, max_exp, data):
+    a, b = data.draw(operand_pairs(field, max_terms, max_exp))
+    p = field.characteristic
+    cases = [(op, (a, b)) for op in ("add", "sub", "mul")]
+    cases += [(op, (a, b)) for op in ("div",) if not field.is_zero(b)]
+    cases += [("inv", (x,)) for x in (a, b) if not field.is_zero(x)]
+    for op, args in cases:
+        got = getattr(field, op)(*args)
+        assert got == _reference(field, op, *args), (op, args)
+        if not field.is_zero(got):
+            num, den = dict(got.num), dict(got.den)
+            assert _tp_gcd(num, den, p) == {(0,) * len(field.transcendentals): 1}
+            assert _tp_lead(den)[1] == 1
+
+
+def test_add_equal_denominators_cancels_against_them():
+    t, one = F2T.transcendental("t"), F2T.one()
+    t_plus_1 = F2T.add(t, one)
+    assert F2T.add(F2T.div(one, t_plus_1), F2T.div(t, t_plus_1)) == one
+
+
+def test_add_coprime_denominators():
+    # 1/t + 1/(t + 1) = (2t + 1)/(t^2 + t) over F_3
+    t, one = F3T.transcendental("t"), F3T.one()
+    got = F3T.add(F3T.inv(t), F3T.inv(F3T.add(t, one)))
+    assert got == RatFunc((((1,), 2), ((0,), 1)), (((2,), 1), ((1,), 1)))
+
+
+def test_add_shared_denominator_factor():
+    # 1/(t(t + 1)) + 1/(t(t + 2)) = 2t/(t(t + 1)(t + 2)) = 2/(t^2 + 2) over F_3:
+    # the common factor t of the denominators also divides the new numerator
+    t, one = F3T.transcendental("t"), F3T.one()
+    a = F3T.inv(F3T.mul(t, F3T.add(t, one)))
+    b = F3T.inv(F3T.mul(t, F3T.add(t, F3T.from_int(2))))
+    assert F3T.add(a, b) == RatFunc((((0,), 2),), (((2,), 1), ((0,), 2)))
+
+
+def test_mul_cancels_across():
+    t, one = F3T.transcendental("t"), F3T.one()
+    t_plus_1 = F3T.add(t, one)
+    assert F3T.mul(F3T.div(t_plus_1, t), F3T.div(t, t_plus_1)) == one
+
+
+def test_mul_of_monomials_cancels_exponentwise():
+    # (2 t1^2 / t2) * (t2^3 / t1^3) = 2 t2^2 / t1 over F_3
+    a = rf(F3TT, {(2, 0): 2}, {(0, 1): 1})
+    b = rf(F3TT, {(0, 3): 1}, {(3, 0): 1})
+    assert F3TT.mul(a, b) == RatFunc((((0, 2), 2),), (((1, 0), 1),))
+
+
+def test_inverse_rescales_a_non_monic_numerator():
+    # ((2t + 1)/(t^2 + t + 1))^-1 = (3t^2 + 3t + 3)/(t + 3) over F_5
+    F5T = RationalFunctionField(5, ("t",))
+    a = rf(F5T, {(1,): 2, (0,): 1}, {(2,): 1, (1,): 1, (0,): 1})
+    assert a.num == (((1,), 2), ((0,), 1))
+    assert F5T.inv(a) == RatFunc((((2,), 3), ((1,), 3), ((0,), 3)), (((1,), 1), ((0,), 3)))

@@ -7,6 +7,13 @@ in canonical form: gcd(numerator, denominator) = 1, denominator monic under
 grevlex on the transcendentals, zero represented uniquely as 0/1. Canonical
 form makes structural equality valid, which everything downstream relies on.
 
+A numerator or denominator is stored as a Polynomial stores its terms: a tuple
+of (exponents, residue), leading term first. Add, multiply, scale and format
+are poly.py's term functions, called with PrimeField(p); only the gcd and
+exact division of F_p[t1, ..., tm] live here. The sort key is ``_rank``, a
+tuple, not poly's packed integer key: ``frobenius`` multiplies exponents by q,
+so t^2 at p = 2, e = 15 becomes t^65536, past the 16 bits a packed field holds.
+
 F_p[t1, ..., tm] is a UFD and both operands are canonical, so the field
 operations follow Henrici's rules for reduced fractions (Knuth, TAOCP vol. 2,
 4.5.1) and take only the gcds that can differ from 1. For a = an/ad, b = bn/bd:
@@ -37,12 +44,11 @@ the helpers take exact single-term cases before the general code:
   and multiplies by 1/c. Multiplying by a monomial maps terms to terms one to
   one, so the quotient exists exactly when no shifted exponent is negative,
   and ``None`` is returned otherwise. A longer divisor drains the remainder
-  through a heap of ``_tp_key``, each key computed once.
-- ``_tp_lead`` and ``_freeze`` of a one-term dict return its only term, with no
-  grevlex key and no sort.
+  through a heap of ``_rank``, each key computed once, and the quotient's
+  terms come out leading term first.
 
-Each case gives the same dict or tuple as the general code, so canonical
-forms do not depend on which path ran.
+Each case gives the same tuple as the general code, so canonical forms do not
+depend on which path ran.
 """
 
 from __future__ import annotations
@@ -55,12 +61,26 @@ from .errors import (
     DuplicateVariable,
     NonPrimeCharacteristic,
 )
+from .poly import (
+    add_terms,
+    format_terms,
+    monic_terms,
+    mul_terms,
+    neg_terms,
+    scale_terms,
+    sort_terms,
+)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+CHARACTERISTIC_LIMIT = 1 << 64  # exclusive bound below which is_prime is exact
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for word-size inputs."""
+    """Deterministic Miller-Rabin, exact for n < 2^64 (``CHARACTERISTIC_LIMIT``).
+
+    Above that it can be wrong: 318665857834031151167461 = 399165290221 *
+    798330580441 is a strong pseudoprime to all twelve bases.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -83,86 +103,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in the transcendentals, represented as {exponent tuple: residue}.
-# These are coefficient plumbing for RatFunc only; the ring variables use the
-# dedicated engine in poly.py.
-# ---------------------------------------------------------------------------
+def check_characteristic(p: int) -> None:
+    """Raise NonPrimeCharacteristic unless p is a prime below 2^64."""
+    if p >= CHARACTERISTIC_LIMIT:
+        raise NonPrimeCharacteristic(
+            f"characteristic {p} is at least 2^64; only primes below 2^64 are certified"
+        )
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
 
 
-def _tp_key(e):
-    """Key whose ascending order is grevlex-descending: (-degree, reversed exponents)."""
+# -- gcd and exact division in F_p[t1, ..., tm], on term tuples sorted by _rank --
+
+
+def _rank(e):
+    """Grevlex rank, (-degree, reversed exponents): a tuple, as exponents have no bound."""
     return (-sum(e), e[::-1])
 
 
-def _tp_lead(a):
-    if len(a) == 1:
-        return next(iter(a.items()))
-    e = min(a, key=_tp_key)
-    return e, a[e]
-
-
-def _tp_add(a, b, p):
-    out = dict(a)
-    for e, c in b.items():
-        v = (out.get(e, 0) + c) % p
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _tp_sub(a, b, p):
-    return _tp_add(a, {e: p - c for e, c in b.items()}, p)
-
-
-def _tp_scale(a, c, p):
-    c %= p
-    if c == 0:
-        return {}
-    return {e: v * c % p for e, v in a.items()}
-
-
-def _tp_mul(a, b, p):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            v = (out.get(e, 0) + c1 * c2) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _tp_monic(a, p):
-    if not a:
-        return a
-    _, lc = _tp_lead(a)
-    if lc == 1:
-        return a
-    return _tp_scale(a, pow(lc, p - 2, p), p)
-
-
-def _tp_divexact(a, b, p):
+def _tp_divexact(a, b, F):
     """Quotient a/b when it exists, else None. Single-divisor division."""
     if not a:
-        return {}
-    eb, cb = _tp_lead(b)
+        return ()
+    p = F.characteristic
+    (eb, cb), tail = b[0], b[1:]
     ib = pow(cb, p - 2, p)
-    q = {}
-    if len(b) == 1:
-        for e, c in a.items():
+    q = []
+    if not tail:
+        for e, c in a:
             m = tuple(map(operator.sub, e, eb))
             if any(x < 0 for x in m):
                 return None
-            q[m] = c * ib % p
-        return q
-    tail = [(e, c) for e, c in b.items() if e != eb]
+            q.append((m, c * ib % p))
+        return tuple(q)
     r = dict(a)
-    heap = [_tp_key(e) for e in r]
+    heap = [_rank(e) for e in r]
     heapq.heapify(heap)
     while heap:
         er = heapq.heappop(heap)[1][::-1]
@@ -173,34 +148,35 @@ def _tp_divexact(a, b, p):
         if any(x < 0 for x in m):
             return None
         f = cr * ib % p
-        q[m] = f
+        q.append((m, f))
         for e, c in tail:
             ee = tuple(map(operator.add, e, m))
             v = r.get(ee)
             if v is None:
-                heapq.heappush(heap, _tp_key(ee))
+                heapq.heappush(heap, _rank(ee))
             r[ee] = ((v or 0) - f * c) % p
-    return q
+    return tuple(q)
 
 
 def _tp_is_const(a):
     """Whether a nonzero a is a constant; a monic constant is 1."""
-    return len(a) == 1 and not any(next(iter(a)))
+    return len(a) == 1 and not any(a[0][0])
 
 
-def _tp_cancel(a, d, p):
+def _tp_cancel(a, d, F):
     """a/g and d/g for g = gcd(a, d), a and d nonzero; no gcd when d is constant."""
     if _tp_is_const(d):
         return a, d
-    g = _tp_gcd(a, d, p)
+    g = _tp_gcd(a, d, F)
     if _tp_is_const(g):
         return a, d
-    return _tp_divexact(a, g, p), _tp_divexact(d, g, p)
+    return _tp_divexact(a, g, F), _tp_divexact(d, g, F)
 
 
-def _tp_univar_gcd(a, b, p):
-    """Monic gcd of dicts over 1-tuples: Euclid on dense coefficient lists."""
-    a, b = ([f.get((d,), 0) for d in range(max(f)[0] + 1)] for f in (a, b))
+def _tp_univar_gcd(a, b, F):
+    """Monic gcd of polynomials in one variable: Euclid on dense coefficient lists."""
+    p = F.characteristic
+    a, b = ([f.get((d,), 0) for d in range(max(f)[0] + 1)] for f in (dict(a), dict(b)))
     while b:
         db, ib = len(b) - 1, pow(b[-1], p - 2, p)
         while len(a) > db:
@@ -211,41 +187,33 @@ def _tp_univar_gcd(a, b, p):
                 a.pop()
         a, b = b, a
     ia = pow(a[-1], p - 2, p)
-    return {(d,): c * ia % p for d, c in enumerate(a) if c}
+    return tuple(((d,), a[d] * ia % p) for d in reversed(range(len(a))) if a[d])
 
 
 def _tp_split_main(a):
+    """{degree in the first transcendental: coefficient in the others}."""
     u = {}
-    for e, c in a.items():
-        u.setdefault(e[0], {})[e[1:]] = c
-    return u
+    for e, c in a:
+        u.setdefault(e[0], []).append((e[1:], c))
+    return {d: tuple(cf) for d, cf in u.items()}
 
 
 def _tp_join_main(u):
-    out = {}
-    for d, coeff in u.items():
-        for e, c in coeff.items():
-            out[(d,) + e] = c
-    return out
+    return sort_terms({(d,) + e: c for d, cf in u.items() for e, c in cf}, _rank)
 
 
-def _tp_content_pp(a, p):
+def _tp_content_pp(a, F):
     """Content (gcd of main-variable coefficients) and primitive part."""
     u = _tp_split_main(a)
-    cont = {}
+    cont = ()
     for d in sorted(u):
-        cont = _tp_gcd(cont, u[d], p)
+        cont = _tp_gcd(cont, u[d], F)
     if _tp_is_const(cont):
         return cont, a  # content is the constant 1; a is already primitive
-    pp = {}
-    for d, coeff in u.items():
-        q = _tp_divexact(coeff, cont, p)
-        for e, c in q.items():
-            pp[(d,) + e] = c
-    return cont, pp
+    return cont, _tp_join_main({d: _tp_divexact(cf, cont, F) for d, cf in u.items()})
 
 
-def _tp_prem(a, b, p):
+def _tp_prem(a, b, F):
     """Pseudo-remainder of a by b in the first transcendental."""
     ua, ub = _tp_split_main(a), _tp_split_main(b)
     db = max(ub)
@@ -256,52 +224,35 @@ def _tp_prem(a, b, p):
         if dr < db:
             break
         lr = r[dr]
-        new = {d: _tp_mul(cf, lb, p) for d, cf in r.items()}
+        new = {d: mul_terms(cf, lb, F, _rank) for d, cf in r.items()}
         for d, cf in ub.items():
             dd = d + dr - db
-            new[dd] = _tp_sub(new.get(dd, {}), _tp_mul(cf, lr, p), p)
+            sub = neg_terms(mul_terms(cf, lr, F, _rank), F)
+            new[dd] = add_terms(new.get(dd, ()), sub, F, _rank)
         r = {d: cf for d, cf in new.items() if cf}
     return _tp_join_main(r)
 
 
-def _tp_gcd(a, b, p):
+def _tp_gcd(a, b, F):
     """Monic gcd in F_p[t1, ..., tm] via primitive pseudo-remainder sequences."""
     if not a:
-        return _tp_monic(b, p)
+        return monic_terms(b, F)
     if not b:
-        return _tp_monic(a, p)
+        return monic_terms(a, F)
     if len(a) == 1 or len(b) == 1:
-        return {tuple(map(min, zip(*a, *b))): 1}
-    if len(next(iter(a))) == 1:
-        return _tp_univar_gcd(a, b, p)
-    ca, pa = _tp_content_pp(a, p)
-    cb, pb = _tp_content_pp(b, p)
-    c = _tp_gcd(ca, cb, p)
+        return ((tuple(map(min, *(e for e, _ in a + b))), 1),)
+    if len(a[0][0]) == 1:
+        return _tp_univar_gcd(a, b, F)
+    ca, pa = _tp_content_pp(a, F)
+    cb, pb = _tp_content_pp(b, F)
+    c = _tp_gcd(ca, cb, F)
     while pb:
-        r = _tp_prem(pa, pb, p)
+        r = _tp_prem(pa, pb, F)
         if r:
-            _, r = _tp_content_pp(r, p)
+            _, r = _tp_content_pp(r, F)
         pa, pb = pb, r
-    lifted = {(0,) + e: v for e, v in c.items()}
-    return _tp_monic(_tp_mul(lifted, pa, p), p)
-
-
-def _tp_str(a, names):
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a, key=_tp_key):
-        c = a[e]
-        factors = []
-        if c != 1 or not any(e):
-            factors.append(str(c))
-        for name, k in zip(names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    lifted = tuple(((0,) + e, v) for e, v in c)
+    return monic_terms(mul_terms(lifted, pa, F, _rank), F)
 
 
 class RatFunc:
@@ -326,20 +277,13 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _freeze(d):
-    if len(d) == 1:
-        return tuple(d.items())
-    return tuple(sorted(d.items(), key=lambda item: _tp_key(item[0])))
-
-
 class FieldDescriptor:
     """Common surface of the two supported coefficient fields."""
 
     __slots__ = ("characteristic", "transcendentals")
 
     def __init__(self, characteristic: int, transcendentals=()):
-        if not is_prime(characteristic):
-            raise NonPrimeCharacteristic(f"characteristic {characteristic} is not prime")
+        check_characteristic(characteristic)
         names = tuple(transcendentals)
         if len(set(names)) != len(names):
             raise DuplicateVariable(f"duplicate transcendental in {names}")
@@ -429,6 +373,7 @@ class RationalFunctionField(FieldDescriptor):
         if not self.transcendentals:
             raise ValueError("use PrimeField when there are no transcendentals")
         m = len(self.transcendentals)
+        self._fp = PrimeField(p)
         self._zero = RatFunc((), (((0,) * m, 1),))
         self._one = RatFunc((((0,) * m, 1),), (((0,) * m, 1),))
 
@@ -438,18 +383,17 @@ class RationalFunctionField(FieldDescriptor):
     # -- construction ------------------------------------------------------
 
     def _canonical(self, num, den) -> RatFunc:
-        p = self.characteristic
+        """num/den in canonical form; both parts are term tuples sorted by _rank."""
+        F = self._fp
         if not den:
             raise DivisionByZero("zero denominator in " + repr(self))
         if not num:
             return self._zero
-        num, den = _tp_cancel(num, den, p)
-        _, lc = _tp_lead(den)
-        if lc != 1:
-            ic = pow(lc, p - 2, p)
-            num = _tp_scale(num, ic, p)
-            den = _tp_scale(den, ic, p)
-        return RatFunc(_freeze(num), _freeze(den))
+        num, den = _tp_cancel(num, den, F)
+        if den[0][1] != 1:
+            ic = F.inv(den[0][1])
+            num, den = scale_terms(num, ic, F), scale_terms(den, ic, F)
+        return RatFunc(num, den)
 
     def element_of(self, a) -> bool:
         return (
@@ -464,17 +408,11 @@ class RationalFunctionField(FieldDescriptor):
         return self._one
 
     def from_int(self, k: int):
-        c = k % self.characteristic
-        if c == 0:
-            return self._zero
-        m = len(self.transcendentals)
-        return RatFunc((((0,) * m, c),), (((0,) * m, 1),))
+        return self.monomial((0,) * len(self.transcendentals), k)
 
     def transcendental(self, name: str):
         i = self.transcendentals.index(name)
-        m = len(self.transcendentals)
-        e = tuple(1 if j == i else 0 for j in range(m))
-        return RatFunc(((e, 1),), (((0,) * m, 1),))
+        return self.monomial(tuple(int(j == i) for j in range(len(self.transcendentals))))
 
     def monomial(self, exps, coefficient: int = 1):
         c = coefficient % self.characteristic
@@ -492,19 +430,20 @@ class RationalFunctionField(FieldDescriptor):
             return b
         if not b.num:
             return a
-        p = self.characteristic
-        an, ad, bn, bd = dict(a.num), dict(a.den), dict(b.num), dict(b.den)
-        if a.den == b.den:
-            return self._canonical(_tp_add(an, bn, p), ad)
+        F = self._fp
+        ad, bd = a.den, b.den
+        if ad == bd:
+            return self._canonical(add_terms(a.num, b.num, F, _rank), ad)
         # the denominators differ, so the sum is nonzero
-        g = _tp_gcd(ad, bd, p)
+        g = _tp_gcd(ad, bd, F)
         if not _tp_is_const(g):
-            ad, bd = _tp_divexact(ad, g, p), _tp_divexact(bd, g, p)
-        num, g = _tp_cancel(_tp_add(_tp_mul(an, bd, p), _tp_mul(bn, ad, p), p), g, p)
-        return RatFunc(_freeze(num), _freeze(_tp_mul(_tp_mul(ad, bd, p), g, p)))
+            ad, bd = _tp_divexact(ad, g, F), _tp_divexact(bd, g, F)
+        num = add_terms(mul_terms(a.num, bd, F, _rank), mul_terms(b.num, ad, F, _rank), F, _rank)
+        num, g = _tp_cancel(num, g, F)
+        return RatFunc(num, mul_terms(mul_terms(ad, bd, F, _rank), g, F, _rank))
 
     def neg(self, a):
-        return RatFunc(tuple((e, self.characteristic - c) for e, c in a.num), a.den)
+        return RatFunc(neg_terms(a.num, self._fp), a.den)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -518,16 +457,17 @@ class RationalFunctionField(FieldDescriptor):
             e = [i - j + k - l for i, j, k, l in zip(u, v, w, x)]
             num, den = tuple(k if k > 0 else 0 for k in e), tuple(0 if k > 0 else -k for k in e)
             return RatFunc(((num, c * d % p),), ((den, 1),))
-        an, bd = _tp_cancel(dict(a.num), dict(b.den), p)
-        bn, ad = _tp_cancel(dict(b.num), dict(a.den), p)
-        return RatFunc(_freeze(_tp_mul(an, bn, p)), _freeze(_tp_mul(ad, bd, p)))
+        F = self._fp
+        an, bd = _tp_cancel(a.num, b.den, F)
+        bn, ad = _tp_cancel(b.num, a.den, F)
+        return RatFunc(mul_terms(an, bn, F, _rank), mul_terms(ad, bd, F, _rank))
 
     def inv(self, a):
         if not a.num:
             raise DivisionByZero("inverse of 0 in " + repr(self))
-        p = self.characteristic
-        ic = pow(a.num[0][1], p - 2, p)  # a.num[0] is the leading term
-        return RatFunc(*(tuple((e, c * ic % p) for e, c in t) for t in (a.den, a.num)))
+        F = self._fp
+        ic = F.inv(a.num[0][1])  # a.num[0] is the leading term
+        return RatFunc(scale_terms(a.den, ic, F), scale_terms(a.num, ic, F))
 
     def div(self, a, b):
         if not b.num:
@@ -538,8 +478,7 @@ class RationalFunctionField(FieldDescriptor):
         """a^k; a^(-k) is inv(a)^k, so 0^(-k) raises DivisionByZero."""
         if k < 0:
             a, k = self.inv(a), -k
-        out = self._one
-        base = a
+        out, base = self._one, a
         while k:
             if k & 1:
                 out = self.mul(out, base)
@@ -551,14 +490,8 @@ class RationalFunctionField(FieldDescriptor):
         # (num/den)^q termwise: coefficients are fixed by Frobenius, exponents scale.
         # Canonical form is preserved: gcd and monicity are stable under x -> x^q.
         q = self.characteristic**e
-        num = tuple((tuple(x * q for x in exps), c) for exps, c in a.num)
-        den = tuple((tuple(x * q for x in exps), c) for exps, c in a.den)
-        return RatFunc(num, den)
+        return RatFunc(*(tuple((tuple(x * q for x in e), c) for e, c in t) for t in (a.num, a.den)))
 
     def format(self, a) -> str:
-        names = self.transcendentals
-        num = _tp_str(dict(a.num), names)
-        if a.den == self._one.den:
-            return num
-        den = _tp_str(dict(a.den), names)
-        return f"({num})/({den})"
+        num, den = (format_terms(t, self.transcendentals, self._fp) for t in (a.num, a.den))
+        return num if a.den == self._one.den else f"({num})/({den})"

@@ -220,16 +220,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     return a - b
 
 
-def buchberger(ideal, order: MonomialOrder | None = None) -> ReducedGB:
-    """Reduced Groebner basis of an IdealPresentation (or generator list)."""
-    if isinstance(ideal, IdealPresentation):
-        ring = ideal.ring
-        gens = ideal.nonzero_generators()
-    else:
-        gens = tuple(g for g in ideal if not g.is_zero())
-        if not gens:
-            raise ValueError("cannot infer the ring from an empty generator list")
-        ring = gens[0].ring
+def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> ReducedGB:
+    """Reduced Groebner basis of an IdealPresentation."""
+    ring = ideal.ring
+    gens = ideal.nonzero_generators()
     order = order or ring.order
     keyf = order.key
     nvars = ring.nvars

@@ -19,10 +19,20 @@ the guard bits of all fields:
 * when b divides a, the quotient is ``a - b``; lcm and coprimality use the
   same borrows (``groebner._packed_lcm`` and ``groebner._support``).
 
-Polynomial terms and ``ReducedGB.lead_exponents`` stay tuples.
+Polynomial terms and ``ReducedGB.lead_exponents`` stay tuples: terms are
+(exponents, coefficient) pairs with nonzero coefficients, sorted ascending by a
+rank, a key that puts larger monomials first (``MonomialOrder.rank``). The
+term functions ``add_terms``, ``mul_terms``, ``scale_terms``, ``format_terms``
+and their kin take the field and the rank as arguments, so Polynomial and the
+F_p[t] parts of ``fields.RatFunc`` (rank ``fields._rank``, whose exponents
+have no bound) share one arithmetic. They take bare tuples, not Polynomial
+objects, so F_p(t) fractions pay for no ring check and no wrapper objects.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateVariable,
@@ -30,7 +40,9 @@ from .errors import (
     ReservedVariable,
     RingMismatch,
 )
-from .fields import FieldDescriptor
+
+if TYPE_CHECKING:
+    from .fields import FieldDescriptor
 
 EXPONENT_LIMIT = 1 << 16  # exclusive per-variable bound
 _SHIFT = 16
@@ -90,6 +102,10 @@ class MonomialOrder:
         rest = exps[k:]
         width = _DEG_BITS + _SHIFT * len(rest)
         return (_grevlex_key(exps[:k]) << width) | _grevlex_key(rest)
+
+    def rank(self, exps) -> int:
+        """``-key``: terms sorted ascending by rank list the largest first."""
+        return -self.key(exps)
 
     def __eq__(self, other):
         return (
@@ -179,7 +195,7 @@ class Ring:
     def from_terms(self, terms: dict) -> "Polynomial":
         """Canonicalize a {exponent tuple: coefficient} mapping."""
         field = self.field
-        clean = []
+        clean = {}
         for exps, c in terms.items():
             if field.is_zero(c):
                 continue
@@ -187,9 +203,8 @@ class Ring:
                 raise RingMismatch(f"exponent arity {len(exps)} != {self.nvars}")
             if any(a < 0 or a >= EXPONENT_LIMIT for a in exps):
                 raise ExponentOverflow(f"exponent out of range in {exps}")
-            clean.append((exps, c))
-        clean.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(clean))
+            clean[exps] = c
+        return Polynomial(self, sort_terms(clean, self.order.rank))
 
     def ideal(self, *gens) -> "IdealPresentation":
         return IdealPresentation(self, gens)
@@ -241,6 +256,91 @@ def _add_exps(a, b):
     return out
 
 
+def _check_product(a, b) -> None:
+    """Raise ExponentOverflow at the first product of terms of a and b past 16 bits."""
+    tops = [map(max, zip(*(e for e, _ in t))) for t in (a, b)]
+    if any(x + y >= EXPONENT_LIMIT for x, y in zip(*tops)):
+        for e1, _ in a:
+            for e2, _ in b:
+                _add_exps(e1, e2)
+
+
+# -- term arithmetic (see the module docstring) -------------------------------------
+
+
+def sort_terms(acc: dict, rank) -> tuple:
+    """The items of an {exponents: coefficient} dict as terms sorted by ``rank``."""
+    if len(acc) < 2:
+        return tuple(acc.items())
+    return tuple(sorted(acc.items(), key=lambda t: rank(t[0])))
+
+
+def add_terms(a, b, field, rank) -> tuple:
+    """a + b."""
+    if not a or not b:
+        return a or b
+    acc = dict(a)
+    for e, c in b:
+        v = acc.get(e)
+        if v is None:
+            acc[e] = c
+        else:
+            v = field.add(v, c)
+            if field.is_zero(v):
+                del acc[e]
+            else:
+                acc[e] = v
+    return sort_terms(acc, rank)
+
+
+def neg_terms(a, field) -> tuple:
+    """-a, in the order of a."""
+    return tuple([(e, field.neg(c)) for e, c in a])
+
+
+def mul_terms(a, b, field, rank) -> tuple:
+    """a * b; exponents add without a bound (see ``_check_product``)."""
+    acc = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = tuple(map(operator.add, e1, e2))
+            c = field.mul(c1, c2)
+            v = acc.get(e)
+            acc[e] = c if v is None else field.add(v, c)
+    return sort_terms({e: c for e, c in acc.items() if not field.is_zero(c)}, rank)
+
+
+def scale_terms(a, c, field) -> tuple:
+    """c * a for a nonzero c, in the order of a."""
+    return tuple([(e, field.mul(x, c)) for e, x in a])
+
+
+def monic_terms(a, field) -> tuple:
+    """a divided by its leading coefficient."""
+    if not a or a[0][1] == field.one():
+        return a
+    return scale_terms(a, field.inv(a[0][1]), field)
+
+
+def format_terms(a, names, field) -> str:
+    """Terms as text: ``c*x^2*y + ...``, coefficients that contain an operator in
+    parentheses, a unit coefficient left out unless the monomial is 1."""
+    one = field.one()
+    parts = []
+    for exps, c in a:
+        factors = []
+        if c != one or not any(exps):
+            cs = field.format(c)
+            factors.append(f"({cs})" if ("+" in cs or "/" in cs or " " in cs) else cs)
+        for name, k in zip(names, exps):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
 class Polynomial:
     """Immutable sparse polynomial; terms sorted descending under the ring order."""
 
@@ -278,8 +378,7 @@ class Polynomial:
         _, lc = self.leading_term(order)
         if lc == field.one():
             return self
-        ic = field.inv(lc)
-        return Polynomial(self.ring, tuple((e, field.mul(c, ic)) for e, c in self.terms))
+        return Polynomial(self.ring, scale_terms(self.terms, field.inv(lc), field))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -296,20 +395,13 @@ class Polynomial:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        field = self.ring.field
-        acc = dict(self.terms)
-        for e, c in g.terms:
-            if e in acc:
-                acc[e] = field.add(acc[e], c)
-            else:
-                acc[e] = c
-        return self.ring.from_terms(acc)
+        ring = self.ring
+        return Polynomial(ring, add_terms(self.terms, g.terms, ring.field, ring.order.rank))
 
     __radd__ = __add__
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, tuple((e, field.neg(c)) for e, c in self.terms))
+        return Polynomial(self.ring, neg_terms(self.terms, self.ring.field))
 
     def __sub__(self, other):
         g = self._coerce(other)
@@ -330,17 +422,9 @@ class Polynomial:
             if self.ring.field.element_of(other):
                 return self.scale(other)
             return NotImplemented
-        field = self.ring.field
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in g.terms:
-                e = _add_exps(e1, e2)
-                prod = field.mul(c1, c2)
-                if e in acc:
-                    acc[e] = field.add(acc[e], prod)
-                else:
-                    acc[e] = prod
-        return self.ring.from_terms(acc)
+        ring = self.ring
+        _check_product(self.terms, g.terms)
+        return Polynomial(ring, mul_terms(self.terms, g.terms, ring.field, ring.order.rank))
 
     __rmul__ = __mul__
 
@@ -348,7 +432,7 @@ class Polynomial:
         field = self.ring.field
         if field.is_zero(c):
             return self.ring.zero()
-        return self.ring.from_terms({e: field.mul(cf, c) for e, cf in self.terms})
+        return Polynomial(self.ring, scale_terms(self.terms, c, field))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -393,23 +477,7 @@ class Polynomial:
         return hash((self.ring, self.terms))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        field = self.ring.field
-        names = self.ring.variables
-        parts = []
-        for exps, c in self.terms:
-            factors = []
-            cs = field.format(c)
-            if c != field.one() or not any(exps):
-                factors.append(f"({cs})" if ("+" in cs or "/" in cs or " " in cs) else cs)
-            for name, a in zip(names, exps):
-                if a == 1:
-                    factors.append(name)
-                elif a > 1:
-                    factors.append(f"{name}^{a}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms, self.ring.variables, self.ring.field)
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
     DuplicateVariable,
-    NonPrimeCharacteristic,
     ParseError,
     ReservedVariable,
 )
-from .fields import PrimeField, RationalFunctionField, is_prime
+from .fields import PrimeField, RationalFunctionField, check_characteristic
 from .localization import CoordinatePrime, PrimeChain
 from .poly import GREVLEX, RESERVED_VARIABLE, IdealPresentation, Polynomial, Ring
 
@@ -256,8 +255,7 @@ def parse_ring_spec(text: str) -> RingSpec:
                 char = int(value)
             except ValueError:
                 raise ParseError(f"characteristic {value!r} is not an integer", lineno) from None
-            if not is_prime(char):
-                raise NonPrimeCharacteristic(f"characteristic {char} is not prime")
+            check_characteristic(char)
             raw[key] = char
         elif key == "vars":
             vars_ = _names(value, lineno, "variable")

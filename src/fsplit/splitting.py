@@ -76,7 +76,7 @@ class SplittingReport:
     dim: int
     alpha: int
     s_e: Fraction
-    a_e: int | None
+    a_e: int
 
     def to_json_obj(self) -> dict:
         return {
@@ -86,7 +86,7 @@ class SplittingReport:
             "dim": self.dim,
             "alpha": self.alpha,
             "s_e": str(self.s_e),
-            "a_e": None if self.a_e is None else str(self.a_e),
+            "a_e": str(self.a_e),
         }
 
 
@@ -142,9 +142,12 @@ def _truncated_power(f: Polynomial, e: int) -> Polynomial:
     where B = pack((2^16 - q,) * n) and G is the guard mask. A term of
     f^(p-1) enters factor i only if its exponents are below q / p^i, so
     scaling its packed monomial by p^i moves no bit across a field. Needs
-    q < 2^16 when n > 0, as n^[q] itself does.
+    q < 2^16 when n > 0, as n^[q] itself does. At e = 0, q - 1 = 0 and the
+    power is 1, without the p - 1 products of f^(p-1).
     """
     ring = f.ring
+    if e == 0:
+        return ring.one()
     field = ring.field
     p = field.characteristic
     n = ring.nvars

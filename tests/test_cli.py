@@ -176,6 +176,14 @@ def test_nonprime_char_exit_2(tmp_path, capsys):
     assert code == 2 and "not prime" in err
 
 
+def test_char_beyond_certified_primes_exit_2(tmp_path, capsys):
+    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    path = tmp_path / "psi12.ring"
+    path.write_text("char = 318665857834031151167461\nvars = x\nideal = x\n", encoding="utf-8")
+    code, out, err = run(capsys, "se", str(path), "--e", "1")
+    assert code == 2 and out == "" and "2^64" in err
+
+
 def test_budget_env_exit_3(files, capsys, monkeypatch):
     monkeypatch.setenv("FSPLIT_BUDGET", "10")
     code, _, err = run(capsys, "se", files["node2"], "--e", "3")

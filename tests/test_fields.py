@@ -14,7 +14,8 @@ from fsplit import (
     RationalFunctionField,
     Ring,
 )
-from fsplit.fields import _tp_add, _tp_divexact, _tp_gcd, _tp_lead, _tp_mul
+from fsplit.fields import _rank, _tp_divexact, _tp_gcd, is_prime
+from fsplit.poly import add_terms, mul_terms, neg_terms, sort_terms
 
 F5 = PrimeField(5)
 F2T = RationalFunctionField(2, ("t",))
@@ -24,11 +25,20 @@ F5TTT = RationalFunctionField(5, ("t1", "t2", "t3"))
 SHORTCUT_FIELDS = [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)]
 
 
+def _terms(d):
+    """A {exponents: residue} dict as the sorted term tuple of a RatFunc part."""
+    return sort_terms(d, _rank)
+
+
+def _mul(a, b, p):
+    return mul_terms(a, b, PrimeField(p), _rank)
+
+
 def rf(field, num, den=None):
     m = len(field.transcendentals)
     if den is None:
         den = {(0,) * m: 1}
-    return field._canonical(dict(num), dict(den))
+    return field._canonical(_terms(dict(num)), _terms(dict(den)))
 
 
 @st.composite
@@ -124,6 +134,38 @@ def test_nonprime_characteristic_rejected():
         RationalFunctionField(6, ("t",))
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+
+
+def test_is_prime_matches_a_sieve():
+    # the sieve of Eratosthenes below 10^5
+    sieve = bytearray([1]) * 100_000
+    sieve[0] = sieve[1] = 0
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, 100_000, i)))
+    assert [n for n in range(100_000) if is_prime(n)] == [n for n in range(100_000) if sieve[n]]
+
+
+def test_is_prime_miller_rabin_branch():
+    # above 37 trial division by the bases does not decide, so these reach
+    # the Miller-Rabin rounds
+    for p in (41, 65521, 2**31 - 1, 2**61 - 1):
+        assert is_prime(p)
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+
+
+def test_characteristic_at_least_2_to_64_rejected():
+    # a strong pseudoprime to all twelve bases: is_prime cannot refuse it
+    with pytest.raises(NonPrimeCharacteristic, match="2\\^64"):
+        PrimeField(PSI_12)
+    with pytest.raises(NonPrimeCharacteristic):
+        RationalFunctionField(PSI_12, ("t",))
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+
+
 def test_duplicate_transcendentals_rejected():
     with pytest.raises(DuplicateVariable):
         RationalFunctionField(3, ("t", "t"))
@@ -170,17 +212,17 @@ def test_negative_powers_are_inverse_powers():
 
 @st.composite
 def tpolys(draw, p, m, max_terms, max_exp=3):
-    """A nonzero polynomial in m transcendentals over F_p, as a term dict."""
-    return draw(st.dictionaries(
+    """A nonzero polynomial in m transcendentals over F_p, as sorted terms."""
+    return _terms(draw(st.dictionaries(
         st.tuples(*[st.integers(0, max_exp)] * m),
         st.integers(1, p - 1),
         min_size=1,
         max_size=max_terms,
-    ))
+    )))
 
 
 def _one_plus_t1(m):
-    return {(0,) * m: 1, (1,) + (0,) * (m - 1): 1}
+    return _terms({(0,) * m: 1, (1,) + (0,) * (m - 1): 1})
 
 
 @pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
@@ -192,26 +234,28 @@ def test_single_term_gcd_matches_prs(p, m, data):
     mono = data.draw(tpolys(p, m, max_terms=1))
     f = data.draw(tpolys(p, m, max_terms=4 if m <= 2 else 1))
     c = _one_plus_t1(m)
-    g = _tp_gcd(mono, f, p)
-    assert _tp_gcd(f, mono, p) == g
-    assert _tp_gcd(_tp_mul(mono, c, p), _tp_mul(f, c, p), p) == _tp_mul(g, c, p)
+    F = PrimeField(p)
+    g = _tp_gcd(mono, f, F)
+    assert _tp_gcd(f, mono, F) == g
+    assert _tp_gcd(_mul(mono, c, p), _mul(f, c, p), F) == _mul(g, c, p)
 
 
 @pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
 @given(data=st.data())
 def test_single_term_divexact(p, m, data):
+    F = PrimeField(p)
     mono = data.draw(tpolys(p, m, max_terms=1))
     c = _one_plus_t1(m)
     # a multiple of mono divides back exactly
-    f = _tp_mul(data.draw(tpolys(p, m, max_terms=4)), mono, p)
-    q = _tp_divexact(f, mono, p)
-    assert q is not None and _tp_mul(q, mono, p) == f
+    f = _mul(data.draw(tpolys(p, m, max_terms=4)), mono, p)
+    q = _tp_divexact(f, mono, F)
+    assert q is not None and _mul(q, mono, p) == f
     # any g: the same answer as long division by the multi-term mono*c
     g = data.draw(tpolys(p, m, max_terms=4))
-    q = _tp_divexact(g, mono, p)
-    assert q == _tp_divexact(_tp_mul(g, c, p), _tp_mul(mono, c, p), p)
+    q = _tp_divexact(g, mono, F)
+    assert q == _tp_divexact(_mul(g, c, p), _mul(mono, c, p), F)
     if q is not None:
-        assert _tp_mul(q, mono, p) == g
+        assert _mul(q, mono, p) == g
 
 
 @given(ratfunc_elements(field=F5TTT, max_exp=2))
@@ -227,18 +271,18 @@ def test_three_transcendentals_canonical(a):
 def _reference(field, op, a, b=None):
     """op by cross-multiplying and one full gcd in ``_canonical``."""
     p = field.characteristic
-    an, ad = dict(a.num), dict(a.den)
+    an, ad = a.num, a.den
     if op == "inv":
         return field._canonical(ad, an)
-    bn, bd = dict(b.num), dict(b.den)
+    bn, bd = b.num, b.den
     if op == "sub":
-        op, bn = "add", {e: p - c for e, c in bn.items()}
+        op, bn = "add", neg_terms(bn, PrimeField(p))
     if op == "add":
-        num = _tp_add(_tp_mul(an, bd, p), _tp_mul(bn, ad, p), p)
-        return field._canonical(num, _tp_mul(ad, bd, p))
+        num = add_terms(_mul(an, bd, p), _mul(bn, ad, p), PrimeField(p), _rank)
+        return field._canonical(num, _mul(ad, bd, p))
     if op == "div":
         bn, bd = bd, bn
-    return field._canonical(_tp_mul(an, bn, p), _tp_mul(ad, bd, p))
+    return field._canonical(_mul(an, bn, p), _mul(ad, bd, p))
 
 
 HENRICI_FIELDS = [(F2T, 3, 3), (F3TT, 3, 2), (F5TTT, 2, 1)]  # field, terms, exponent
@@ -255,13 +299,13 @@ def operand_pairs(draw, field, max_terms, max_exp):
     c = draw(tpolys(p, m, 2, 1))
     share = draw(st.sampled_from(["dens", "cross", "equal", "none"]))
     if share == "dens":
-        ad, bd = _tp_mul(ad, c, p), _tp_mul(bd, c, p)
+        ad, bd = _mul(ad, c, p), _mul(bd, c, p)
     elif share == "cross":
-        an, bd = _tp_mul(an, c, p), _tp_mul(bd, c, p)
+        an, bd = _mul(an, c, p), _mul(bd, c, p)
     elif share == "equal":
         bd = ad
     if draw(st.integers(0, 9)) == 0:
-        an = {}
+        an = ()
     return rf(field, an, ad), rf(field, bn, bd)
 
 
@@ -277,9 +321,10 @@ def test_henrici_matches_cross_multiplication(field, max_terms, max_exp, data):
         got = getattr(field, op)(*args)
         assert got == _reference(field, op, *args), (op, args)
         if not field.is_zero(got):
-            num, den = dict(got.num), dict(got.den)
-            assert _tp_gcd(num, den, p) == {(0,) * len(field.transcendentals): 1}
-            assert _tp_lead(den)[1] == 1
+            num, den = got.num, got.den
+            assert num == _terms(dict(num)) and den == _terms(dict(den))
+            assert _tp_gcd(num, den, PrimeField(p)) == (((0,) * len(field.transcendentals), 1),)
+            assert den[0][1] == 1
 
 
 def test_add_equal_denominators_cancels_against_them():

@@ -86,8 +86,3 @@ def test_import_loads_no_numpy():
     code = "import fsplit, fsplit.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
-
-def test_rank_determinism():
-    x, y = R2.gens()
-    runs = {oracle_length_mod_bracket(R2.ideal(x * y, x**2 + y**2), 2) for _ in range(3)}
-    assert len(runs) == 1

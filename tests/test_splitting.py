@@ -116,6 +116,14 @@ def test_s_zero_is_one_everywhere():
         assert rep.s_e == 1, entry.name
 
 
+def test_s_zero_at_a_large_characteristic():
+    # e = 0 needs no power f^(p-1): this returns at once at p = 2^61 - 1
+    R = Ring(PrimeField(2**61 - 1), ("x", "y"))
+    x, y = R.gens()
+    rep = normalized_splitting_number(R.ideal(x * y), 0)
+    assert (rep.q, rep.s_e, rep.a_e) == (1, 1, 1)
+
+
 def test_corpus_pinned_values():
     for entry in CORPUS:
         for e, expected in entry.expected_s.items():

@@ -14,6 +14,15 @@ under the working order, then by the pair's indices. Inputs are taken in
 their given order, reducers are scanned in insertion order, and the reduced
 basis is sorted by leading monomial. That fixed tie order makes the engine
 deterministic: identical inputs give byte-identical bases.
+
+The final interreduction does only the work that can remain. A lead divides
+only terms no smaller than itself, so an element's tail can meet only smaller
+leads. Buchberger's basis only grows, and each element enters fully reduced
+against every element before it, so only a kept lead inserted later can divide
+one of its terms. Tails are reduced in ascending lead order, and ``_nf`` runs
+only on an element where such a lead divides a tail term. Each tail then
+equals the unique normal form of minus its lead, so the result is the unique
+reduced basis, whichever elements a tail was reduced against.
 """
 
 from __future__ import annotations
@@ -300,7 +309,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         if r:
             add(r, s)
 
-    return _reduce_basis(ring, order, basis, packed, guard)
+    return _reduce_basis(ring, order, basis, packed, guard, True)
 
 
 def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
@@ -313,12 +322,22 @@ def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
     keyf = order.key
     basis = [_internal(g.monic(order), keyf) for g in gens if not g.is_zero()]
     packed = [t[0][1] for t in basis]
-    return _reduce_basis(ring, order, basis, packed, guard_mask(ring.nvars))
+    return _reduce_basis(ring, order, basis, packed, guard_mask(ring.nvars), False)
 
 
 def _reduce_basis(
-    ring: Ring, order: MonomialOrder, basis: list, packed: list, guard: int
+    ring: Ring, order: MonomialOrder, basis: list, packed: list, guard: int, grown: bool
 ) -> ReducedGB:
+    """The reduced basis from a monic Groebner basis: drop each element whose lead
+    another lead divides, then reduce the tails of the rest in ascending lead order.
+
+    The tail of the element at sorted position s can meet only the leads at
+    positions below s, and those elements are already final. With ``grown`` the
+    basis is Buchberger's: ``basis[i]`` left ``_nf`` fully reduced against
+    ``basis[:i]``, so only a kept lead inserted after it (index j > i) can divide
+    one of its terms. ``_nf`` runs only where such a lead divides a tail term;
+    the result is the unique reduced basis either way (see the module docstring).
+    """
     field = ring.field
     order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
     kept: list[int] = []
@@ -326,15 +345,16 @@ def _reduce_basis(
         lg = packed[i] | guard
         if not any((lg - packed[j]) & guard == guard for j in kept):
             kept.append(i)
-    polys = [basis[i] for i in kept]
+    polys: list[list] = []
     lexps = [packed[i] for i in kept]
-    for i in range(len(polys)):
-        others = polys[:i] + polys[i + 1 :]
-        olead = lexps[:i] + lexps[i + 1 :]
-        r = _nf(polys[i], others, olead, field, guard)
-        if not r or r[0][1] != lexps[i]:
-            raise InternalInconsistency("interreduction destroyed a leading term")
-        polys[i] = r
+    for s, i in enumerate(kept):
+        t = basis[i]
+        leads = [packed[j] for j in kept[:s] if j > i or not grown]
+        if leads and any(((m | guard) - l) & guard == guard for _, m, _ in t[1:] for l in leads):
+            t = _nf(t, polys, lexps[:s], field, guard)
+            if not t or t[0][1] != lexps[s]:
+                raise InternalInconsistency("interreduction destroyed a leading term")
+        polys.append(t)
     return ReducedGB(ring, order, tuple(_to_poly(ring, order, t) for t in polys))
 
 

@@ -224,6 +224,31 @@ def test_interreduce_matches_buchberger(order):
     assert interreduce(ring, [], order).basis == ()
 
 
+# Three variables under grevlex and under the elimination(1) shape intersect()
+# builds; test_interreduce_matches_buchberger covers two-variable rings.
+INTERREDUCE_RINGS = [
+    pytest.param(Ring(PrimeField(p), ("x", "y", "z")), id=f"grevlex-{p}") for p in (2, 3)
+] + [
+    pytest.param(
+        Ring(PrimeField(p), ("w", "x", "y"), MonomialOrder.elimination(1)), id=f"elim-{p}"
+    )
+    for p in (2, 3)
+]
+
+
+@pytest.mark.parametrize("ring", INTERREDUCE_RINGS)
+def test_buchberger_output_is_fully_interreduced(ring):
+    # buchberger checks each element's tail only against leads inserted after
+    # it; interreduce checks every tail against every smaller lead. The input
+    # generators followed by the reduced basis are a Groebner basis, so both
+    # must give the same reduced basis.
+    rng = random.Random(ring.field.characteristic)
+    for _ in range(20):
+        ideal = _random_ideal(rng, ring, 3)
+        gb = buchberger(ideal)
+        assert interreduce(ring, list(ideal.generators) + list(gb.basis), ring.order) == gb
+
+
 # fields near both ends of the 16-bit range, so either operand can be larger
 _packed_field = st.one_of(st.integers(0, 3), st.integers(65532, 65535), st.integers(0, 65535))
 
@@ -249,7 +274,10 @@ def _parse_ideal(ring, *texts):
 # Reduced bases recorded before the pair update was packed. A reduced basis
 # is unique, so these do not see the order pairs are reduced in; they catch a
 # pair update that drops a pair it needs (a wrong lcm, coprimality test or
-# criterion), which leaves a different or non-Groebner basis.
+# criterion), which leaves a different or non-Groebner basis. In the last two
+# only a lead inserted after an element reduces its tail: y reduces x^2 - y*z,
+# and t*b + t*c becomes t*b + c only in the final interreduction. The second
+# input is the elim(1) ideal intersect() builds on ad - bc.
 PINNED_BASES = [
     pytest.param(
         lambda: intersect(
@@ -294,6 +322,19 @@ PINNED_BASES = [
         "y^3 + t*x*z; z^4 + ((2)/(t^2 + 2*t + 1))*x*z^2; "
         "x*z^3 + ((1)/(t^3 + 2*t^2 + t))*y*z^2}",
         id="grevlex-F3(t)",
+    ),
+    pytest.param(
+        lambda: buchberger(_parse_ideal(R3XYZ, "x^2 - y*z", "y"), GREVLEX),
+        "GB{y; x^2}",
+        id="later-lead-F3",
+    ),
+    pytest.param(
+        lambda: buchberger(_parse_ideal(
+            Ring(PrimeField(2), ("t", "a", "b", "c", "d"), MonomialOrder.elimination(1)),
+            "t*d", "t*b + t*c", "t*a", "t*c^2", "t*c + c",
+        )),
+        "GB{c*d; c^2; b*c; a*c; t*d; t*c + c; t*b + c; t*a}",
+        id="later-lead-elim-F2",
     ),
 ]
 

@@ -124,6 +124,22 @@ def test_s_zero_at_a_large_characteristic():
     assert (rep.q, rep.s_e, rep.a_e) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("p, e", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+    (7, 1), (11, 1),
+])
+def test_determinantal_hypersurface_matches_the_toric_count(p, e):
+    # k[a,b,c,d]/(ad - bc) is the toric ring of the cone {a + b = c + d}, so its
+    # free rank a_e counts the points of [0, q)^4 with a + b = c + d: there are
+    # min(s + 1, 2q - 1 - s) pairs in [0, q)^2 with sum s, for s < 2q - 1
+    R = Ring(PrimeField(p), ("a", "b", "c", "d"))
+    a, b, c, d = R.gens()
+    q = p**e
+    count = sum(min(s + 1, 2 * q - 1 - s) ** 2 for s in range(2 * q - 1))
+    rep = normalized_splitting_number(R.ideal(a * d - b * c), e, q**4)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (count, 3, Fraction(count, q**3))
+
+
 def test_corpus_pinned_values():
     for entry in CORPUS:
         for e, expected in entry.expected_s.items():

@@ -61,11 +61,19 @@ def _count(depth: int, gens: tuple, guard: int, memo: dict) -> int:
     cap = gens[0]  # pure powers of the first variable are the smallest
     if cap > _MASK:
         raise NotArtinian("leading-term ideal misses a pure power")
-    thresholds = sorted({m & _MASK for m in gens if m & _MASK < cap} | {0})
+    # the rest of each generator, by its first exponent; thresholds ascend and
+    # the active set only grows, so the minimal set of the previous threshold
+    # plus the newly included generators has the same minimal set as all of them
+    fresh: dict[int, list] = {0: []}
+    for m in gens:
+        if m & _MASK < cap:
+            fresh.setdefault(m & _MASK, []).append(m >> _FIELD_BITS)
+    thresholds = sorted(fresh)
     total = 0
+    active: tuple = ()
     for idx, t in enumerate(thresholds):
         hi = thresholds[idx + 1] if idx + 1 < len(thresholds) else cap
-        active = _minimalize((m >> _FIELD_BITS for m in gens if m & _MASK <= t), guard)
+        active = _minimalize(active + tuple(fresh[t]), guard)
         total += (hi - t) * _count(depth + 1, active, guard, memo)
     memo[(depth, gens)] = total
     return total

@@ -28,6 +28,7 @@ reduced basis, whichever elements a tail was reduced against.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, RingMismatch
 from .poly import (
@@ -56,6 +57,15 @@ def _internal(f: Polynomial, keyf) -> list:
     terms = [(keyf(e), pack(e), c) for e, c in f.terms]
     terms.sort(key=lambda t: t[0], reverse=True)
     return terms
+
+
+def _monic(terms: list, field) -> list:
+    """``terms`` divided by its leading coefficient."""
+    c = terms[0][2]
+    if c == field.one():
+        return terms
+    ic = field.inv(c)
+    return [(k, m, field.mul(x, ic)) for k, m, x in terms]
 
 
 def _to_poly(ring: Ring, order: MonomialOrder, terms: list) -> Polynomial:
@@ -183,18 +193,46 @@ def _support(m: int, guard: int) -> int:
 
 
 class ReducedGB:
-    """A reduced Groebner basis: monic, mutually reduced, sorted by leading term."""
+    """A reduced Groebner basis: monic, mutually reduced, sorted by leading term.
 
-    __slots__ = ("ring", "order", "basis", "lead_exponents")
+    Its state is the working form under ``order``: one descending
+    (key, packed monomial, coeff) list per element, as Buchberger leaves it.
+    ``basis`` (Polynomials) and ``lead_exponents`` are built from it on first
+    read and kept, so a basis that only feeds further engine steps never
+    builds a Polynomial.
+    """
+
+    __slots__ = ("ring", "order", "_terms", "_basis", "_leads")
 
     def __init__(self, ring: Ring, order: MonomialOrder, basis):
         self.ring = ring
         self.order = order
-        self.basis = tuple(basis)
-        self.lead_exponents = tuple(g.leading_term(order)[0] for g in self.basis)
+        self._basis = tuple(basis)
+        self._terms = tuple(_internal(g, order.key) for g in self._basis)
+        self._leads = None
+
+    @classmethod
+    def _packed(cls, ring: Ring, order: MonomialOrder, terms) -> "ReducedGB":
+        """The basis whose working form is ``terms``."""
+        gb = cls.__new__(cls)
+        gb.ring, gb.order, gb._terms, gb._basis, gb._leads = ring, order, tuple(terms), None, None
+        return gb
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(_to_poly(self.ring, self.order, t) for t in self._terms)
+        return self._basis
+
+    @property
+    def lead_exponents(self) -> tuple:
+        if self._leads is None:
+            n = self.ring.nvars
+            self._leads = tuple(unpack(t[0][1], n) for t in self._terms)
+        return self._leads
 
     def is_unit_ideal(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant()
+        return len(self._terms) == 1 and self._terms[0][0][1] == 0
 
     def presentation(self) -> IdealPresentation:
         return IdealPresentation(self.ring, self.basis)
@@ -204,14 +242,22 @@ class ReducedGB:
             isinstance(other, ReducedGB)
             and self.ring == other.ring
             and self.order == other.order
-            and self.basis == other.basis
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.order, self.basis))
+        return hash((self.ring, self.order, tuple(map(tuple, self._terms))))
 
     def __repr__(self):
         return f"GB{{{'; '.join(str(g) for g in self.basis) or '0'}}}"
+
+
+class _Working(NamedTuple):
+    """Generators for ``buchberger`` in working form under the ring order:
+    (descending term list, total degree) pairs, none of them zero."""
+
+    ring: Ring
+    gens: list
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -232,9 +278,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> ReducedGB:
     """Reduced Groebner basis of an IdealPresentation."""
     ring = ideal.ring
-    gens = ideal.nonzero_generators()
     order = order or ring.order
     keyf = order.key
+    if isinstance(ideal, _Working):
+        gens = ideal.gens
+    else:
+        gens = [(_internal(g, keyf), g.total_degree()) for g in ideal.nonzero_generators()]
     nvars = ring.nvars
     guard = guard_mask(nvars)
     field = ring.field
@@ -249,13 +298,12 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
     pairs: list[tuple] = []
 
     def add(terms: list, s: int) -> None:
-        """Append a monic copy of ``terms`` and run the Gebauer-Moller update."""
-        ic = field.inv(terms[0][2])
+        """Append ``terms`` made monic and run the Gebauer-Moller update."""
         h = len(basis)
         lh = terms[0][1]
         sh = _support(lh, guard)
         dh = sum(unpack(lh, nvars))
-        basis.append([(k, m, field.mul(c, ic)) for k, m, c in terms])
+        basis.append(_monic(terms, field))
         packed.append(lh)
         supports.append(sh)
         degrees.append(dh)
@@ -296,10 +344,10 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         active[:] = [g for g in active if ((packed[g] | guard) - lh) & guard != guard]
         active.append(h)
 
-    for g in gens:
-        t = _nf(_internal(g.monic(order), keyf), basis, packed, field, guard)
+    for terms, d in gens:
+        t = _nf(_monic(terms, field), basis, packed, field, guard)
         if t:
-            add(t, g.total_degree())
+            add(t, d)
 
     while pairs:
         s, kl, i, j, pl = heapq.heappop(pairs)
@@ -309,7 +357,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         if r:
             add(r, s)
 
-    return _reduce_basis(ring, order, basis, packed, guard, True)
+    return _reduce_basis(ring, order, basis, True)
 
 
 def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
@@ -319,15 +367,12 @@ def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
     and the rest are made monic and reduced against each other. Generators
     that are not a Groebner basis give a wrong answer.
     """
-    keyf = order.key
-    basis = [_internal(g.monic(order), keyf) for g in gens if not g.is_zero()]
-    packed = [t[0][1] for t in basis]
-    return _reduce_basis(ring, order, basis, packed, guard_mask(ring.nvars), False)
+    field = ring.field
+    basis = [_monic(_internal(g, order.key), field) for g in gens if not g.is_zero()]
+    return _reduce_basis(ring, order, basis, False)
 
 
-def _reduce_basis(
-    ring: Ring, order: MonomialOrder, basis: list, packed: list, guard: int, grown: bool
-) -> ReducedGB:
+def _reduce_basis(ring: Ring, order: MonomialOrder, basis: list, grown: bool) -> ReducedGB:
     """The reduced basis from a monic Groebner basis: drop each element whose lead
     another lead divides, then reduce the tails of the rest in ascending lead order.
 
@@ -339,6 +384,8 @@ def _reduce_basis(
     the result is the unique reduced basis either way (see the module docstring).
     """
     field = ring.field
+    guard = guard_mask(ring.nvars)
+    packed = [t[0][1] for t in basis]
     order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
     kept: list[int] = []
     for i in order_idx:
@@ -355,19 +402,18 @@ def _reduce_basis(
             if not t or t[0][1] != lexps[s]:
                 raise InternalInconsistency("interreduction destroyed a leading term")
         polys.append(t)
-    return ReducedGB(ring, order, tuple(_to_poly(ring, order, t) for t in polys))
+    return ReducedGB._packed(ring, order, polys)
 
 
 def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:
     """Remainder of f on division by the reduced basis; unique since gb is reduced."""
     if f.ring != gb.ring:
         raise RingMismatch(f"{f.ring!r} != {gb.ring!r}")
-    if not gb.basis or f.is_zero():
+    basis = gb._terms
+    if not basis or f.is_zero():
         return f
-    keyf = gb.order.key
-    basis = [_internal(g, keyf) for g in gb.basis]
     leads = [g[0][1] for g in basis]
-    r = _nf(_internal(f, keyf), basis, leads, gb.ring.field, guard_mask(gb.ring.nvars))
+    r = _nf(_internal(f, gb.order.key), basis, leads, gb.ring.field, guard_mask(gb.ring.nvars))
     return _to_poly(gb.ring, gb.order, r)
 
 

@@ -1,13 +1,13 @@
 """Ideal-level operations: sums, Frobenius bracket powers, intersections, colons.
 
 Intersections use the classic single-auxiliary-variable elimination
-I cap J = (t*I + (1-t)*J) cap S, with t alone in the eliminated block of
+I cap J = (t*I + (t-1)*J) cap S, with t alone in the eliminated block of
 elim(1) and grevlex on the other variables. Colon ideals reduce to
 intersections with principal ideals followed by exact division, asserted as
 a corruption detector. Two facts keep this from repeating work, and both are
 exact:
 
-* The t-free elements of the reduced elim(1) basis G of t*I + (1-t)*J, with
+* The t-free elements of the reduced elim(1) basis G of t*I + (t-1)*J, with
   t dropped, are the reduced grevlex basis of I cap J, so ``intersect`` runs
   Buchberger once. By the elimination theorem (Cox, Little and O'Shea,
   *Ideals, Varieties, and Algorithms*, sections 3.1 and 4.3) G cap S is a
@@ -24,8 +24,18 @@ exact:
 
 The quotients h/f over the reduced grevlex basis of I cap (f) are a Groebner
 basis of (I : f): for g in (I : f), lead(f*g) = lead(f)*lead(g) is divisible
-by some lead(h) = lead(f)*lead(h/f). So they are only interreduced
-(``groebner.interreduce``), with no S-pair formed.
+by some lead(h) = lead(f)*lead(h/f). So they are only interreduced, with no
+S-pair formed.
+
+Both operations stay in Buchberger's working form (``groebner``): descending
+(key, packed monomial, coeff) lists, which a ``ReducedGB`` holds as its state.
+``intersect`` builds t*I + (t-1)*J in it directly: x^m t^a packs to
+``(m << 17) | a``, and its elim(1) key is the grevlex key of t^a shifted above
+the grevlex key of x^m. It selects the t-free elements of G by their packed
+leads and projects them with ``m >> 17`` and the low bits of the key.
+``colon_ideal`` does the normal forms, the exact divisions, the
+interreduction and the running intersection on these lists too, so a
+Polynomial is built only when a caller reads ``ReducedGB.basis``.
 """
 
 from __future__ import annotations
@@ -33,18 +43,30 @@ from __future__ import annotations
 import heapq
 
 from .errors import InternalInconsistency, RingMismatch, ZeroDivisorColon
-from .groebner import ReducedGB, buchberger, interreduce, normal_form
+from .groebner import (
+    ReducedGB,
+    _internal,
+    _monic,
+    _nf,
+    _reduce_basis,
+    _to_poly,
+    _Working,
+    buchberger,
+)
 from .poly import (
+    _DEG_BITS,
+    _FIELD_BITS,
+    _MASK,
+    _SHIFT,
     GREVLEX,
     RESERVED_VARIABLE,
     IdealPresentation,
     MonomialOrder,
     Polynomial,
     Ring,
+    _grevlex_key,
     guard_mask,
-    pack,
     packed_overflow,
-    unpack,
 )
 
 
@@ -72,57 +94,67 @@ def _extended_ring(ring: Ring) -> Ring:
     )
 
 
-def intersect(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
+def _generators(I) -> tuple:
+    """The nonzero generators of I (a ReducedGB stands for its basis) in grevlex
+    working form, in their given order."""
+    if isinstance(I, ReducedGB) and I.order == GREVLEX:
+        return I._terms
+    gens = I.basis if isinstance(I, ReducedGB) else I.nonzero_generators()
+    return tuple(_internal(g, GREVLEX.key) for g in gens)
+
+
+def intersect(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB) -> ReducedGB:
     """Reduced grevlex Groebner basis of I cap J in the original ring.
 
-    The t-free part of the reduced elim(1) basis of t*I + (1 - t)*J, with t
-    dropped, is that basis already (see the module docstring).
+    The t-free part of the reduced elim(1) basis of t*I + (t - 1)*J, with t
+    dropped, is that basis already (see the module docstring). Either ideal
+    may be a ReducedGB, which stands for its basis.
     """
     if I.ring != J.ring:
         raise RingMismatch("intersection across different rings")
     ring = I.ring
-    ext = _extended_ring(ring)
+    n = ring.nvars
     neg = ring.field.neg
-    # under grevlex, t*f, -t*g, g and the projection keep the order of f and
-    # g, and every t-term precedes every t-free term under elim(1)
-    direct = ring.order == GREVLEX
-
-    def poly(R: Ring, terms) -> Polynomial:
-        return Polynomial(R, tuple(terms)) if direct else R.from_terms(dict(terms))
-
-    gens = [poly(ext, [((1,) + e, c) for e, c in f.terms]) for f in I.nonzero_generators()]
+    # t is the first ext variable: x^m t^a packs to (m << 17) | a, and its
+    # elim(1) key is (grevlex key of t^a) << width | (grevlex key of x^m)
+    width = _DEG_BITS + _SHIFT * n
+    t1, t0 = _grevlex_key((1,)) << width, _grevlex_key((0,)) << width
+    deg_shift = _SHIFT * n  # a grevlex lead key >> deg_shift is the total degree
+    gens = [
+        ([(t1 | k, (m << _FIELD_BITS) | 1, c) for k, m, c in f], 1 + (f[0][0] >> deg_shift))
+        for f in _generators(I)
+    ]
+    # (t - 1)*g, not (1 - t)*g: it is monic whenever g is
     gens += [
-        poly(ext, [((1,) + e, neg(c)) for e, c in g.terms] + [((0,) + e, c) for e, c in g.terms])
-        for g in J.nonzero_generators()
+        (
+            [(t1 | k, (m << _FIELD_BITS) | 1, c) for k, m, c in g]
+            + [(t0 | k, m << _FIELD_BITS, neg(c)) for k, m, c in g],
+            1 + (g[0][0] >> deg_shift),
+        )
+        for g in _generators(J)
     ]
-    gb = buchberger(IdealPresentation(ext, gens))
+    gb = buchberger(_Working(_extended_ring(ring), gens))
     # a t-free lead means a t-free element, since t-terms come first
+    low = (1 << width) - 1
     kept = [
-        poly(ring, [(e[1:], c) for e, c in h.terms]) for h in gb.basis if not h.terms[0][0][0]
+        [(k & low, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms if not h[0][1] & _MASK
     ]
-    return ReducedGB(ring, GREVLEX, kept)
+    return ReducedGB._packed(ring, GREVLEX, kept)
 
 
-def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises InternalInconsistency when division is not exact.
+def _divide(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
+    """Exact quotient f/g of working forms under ``order``, by long division.
 
-    Long division with the remainder in a dict keyed by packed order key and
-    drained through a max-heap, so each step costs the length of g. Monomials
-    are packed as in ``poly.pack``, so the divisibility test, the cofactor and
-    each product with its overflow check are integer operations.
+    The remainder lives in a dict keyed by order key, drained through a
+    max-heap, so each step costs the length of g. Keys are affine:
+    key(e + m) = key(e) + key(m) - key(0).
     """
-    ring = f.ring
-    if g.ring != ring:
-        raise RingMismatch("exact division across different rings")
-    if g.is_zero():
-        raise ZeroDivisorColon("division by the zero polynomial")
     field = ring.field
-    keyf = ring.order.key
     guard = guard_mask(ring.nvars)
-    (eg, cg), tail = g.terms[0], [(keyf(e), pack(e), c) for e, c in g.terms[1:]]
-    kg, mg = keyf(eg), pack(eg)
+    (kg, mg, cg), tail = g[0], g[1:]
+    key0 = order.key((0,) * ring.nvars)
     icg = field.inv(cg)
-    rem = {keyf(e): (pack(e), c) for e, c in f.terms}
+    rem = {k: (m, c) for k, m, c in f}
     heap = [-k for k in rem]
     heapq.heapify(heap)
     quo = []
@@ -132,12 +164,13 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         if field.is_zero(cr):
             continue
         if ((er | guard) - mg) & guard != guard:
+            f, g = (_to_poly(ring, order, t) for t in (f, g))
             raise InternalInconsistency(f"{f} is not divisible by {g}")
         m = er - mg
         c = field.mul(cr, icg)
-        quo.append((m, c))
+        delta = k - kg
+        quo.append((delta + key0, m, c))
         factor = field.neg(c)
-        delta = k - kg  # keys are affine: key(e + m) = key(e) + key(m) - key(0)
         for kt, et, ct in tail:
             em = et + m
             if em & guard:
@@ -150,31 +183,52 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
                 heapq.heappush(heap, -nk)
             else:
                 rem[nk] = (old[0], field.add(old[1], v))
-    n = ring.nvars
     # keys were popped in descending order, so the quotient is already sorted
-    return Polynomial(ring, tuple((unpack(m, n), c) for m, c in quo))
+    return quo
 
 
-def colon_ideal(I: IdealPresentation, J: IdealPresentation) -> ReducedGB:
-    """Reduced grevlex Groebner basis of (I : J) = {f : f*J in I}."""
+def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises InternalInconsistency when division is not exact."""
+    ring = f.ring
+    if g.ring != ring:
+        raise RingMismatch("exact division across different rings")
+    if g.is_zero():
+        raise ZeroDivisorColon("division by the zero polynomial")
+    order = ring.order
+    q = _divide(ring, order, _internal(f, order.key), _internal(g, order.key))
+    return _to_poly(ring, order, q)
+
+
+def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB) -> ReducedGB:
+    """Reduced grevlex Groebner basis of (I : J) = {f : f*J in I}.
+
+    Either ideal may be a ReducedGB, which stands for its basis; a reduced
+    grevlex basis of I is used as it is, with no Buchberger run.
+    """
     if I.ring != J.ring:
         raise RingMismatch("colon across different rings")
     ring = I.ring
-    jgens = J.nonzero_generators()
+    field = ring.field
+    jgens = _generators(J)
     if not jgens:
         raise ZeroDivisorColon("colon by the zero ideal")
-    gb_I = buchberger(I, GREVLEX)
+    if isinstance(I, ReducedGB) and I.order == GREVLEX:
+        basis = I._terms
+    else:
+        basis = buchberger(I.presentation() if isinstance(I, ReducedGB) else I, GREVLEX)._terms
+    leads = [g[0][1] for g in basis]
+    guard = guard_mask(ring.nvars)
     result: ReducedGB | None = None
     for f in jgens:
-        f = normal_form(f, gb_I)  # (I : f) = (I : f + i) for i in I
-        if f.is_zero():
+        if basis:
+            f = _nf(f, basis, leads, field, guard)  # (I : f) = (I : f + i) for i in I
+        if not f:
             continue  # f in I, so (I : f) = S
-        inter = intersect(I, IdealPresentation(ring, (f,)))
-        gb = interreduce(ring, [divide_exact(h, f) for h in inter.basis], GREVLEX)
-        if result is None:
-            result = gb
-        else:
-            result = intersect(result.presentation(), gb.presentation())
+        f = _monic(f, field)
+        inter = intersect(I, ReducedGB._packed(ring, GREVLEX, (f,)))
+        quotients = [_divide(ring, GREVLEX, h, f) for h in inter._terms]
+        gb = _reduce_basis(ring, GREVLEX, quotients, False)
+        result = gb if result is None else intersect(result, gb)
     if result is None:
         return ReducedGB(ring, GREVLEX, (ring.one(),))
     return result

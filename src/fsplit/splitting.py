@@ -308,7 +308,7 @@ def _socle_bases(I: IdealPresentation, sop: tuple) -> tuple:
     if GA.is_unit_ideal():
         raise NotArtinian("the parameter ideal is the unit ideal")
     lam_A = length(GA)
-    C = colon_ideal(GA.presentation(), ring.variable_ideal())
+    C = colon_ideal(GA, ring.variable_ideal())
     socle_dim = lam_A - length(C)
     if socle_dim != 1:
         raise NotGorenstein(f"socle has vector-space dimension {socle_dim}, not 1")

@@ -14,6 +14,7 @@ from fsplit import (
     MonomialOrder,
     PrimeField,
     RationalFunctionField,
+    ReducedGB,
     Ring,
     buchberger,
     ideal_member,
@@ -222,6 +223,41 @@ def test_interreduce_matches_buchberger(order):
         rng.shuffle(padded)
         assert interreduce(ring, padded, order) == gb
     assert interreduce(ring, [], order).basis == ()
+
+
+@pytest.mark.parametrize(
+    "transcendental, ring_order, order",
+    [
+        (None, GREVLEX, GREVLEX),
+        (None, LEX, LEX),
+        (None, LEX, GREVLEX),
+        ("t", GREVLEX, GREVLEX),
+        ("t", LEX, GREVLEX),
+    ],
+    ids=["grevlex", "lex", "grevlex-in-lex-ring", "fpt-grevlex", "fpt-grevlex-in-lex-ring"],
+)
+def test_reduced_gb_from_working_form_equals_one_from_polynomials(
+    transcendental, ring_order, order
+):
+    # buchberger returns a basis held in working form, whose Polynomials are
+    # built on first read; the public constructor takes Polynomials
+    if transcendental is None:
+        field, coefficient = PrimeField(5), None
+    else:
+        field = RationalFunctionField(3, (transcendental,))
+        coefficient = _function_field_coefficient(field)
+    ring = Ring(field, ("x", "y"), ring_order)
+    rng = random.Random(29)
+    for _ in range(8):
+        ideal = _random_ideal(rng, ring, 3, 2, coefficient)
+        packed = buchberger(ideal, order)
+        built = ReducedGB(ring, order, buchberger(ideal, order).basis)
+        assert packed == built and built == packed
+        assert hash(packed) == hash(built)
+        assert packed.lead_exponents == built.lead_exponents
+        assert repr(packed) == repr(built)
+        assert packed.basis == built.basis
+        assert packed.is_unit_ideal() == built.is_unit_ideal()
 
 
 # Three variables under grevlex and under the elimination(1) shape intersect()

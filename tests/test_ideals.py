@@ -319,6 +319,24 @@ def test_colon_invariant_modulo_I(p, transcendental, order):
         assert colon_ideal(I, ring.ideal(h2 * g2, f)) == base
 
 
+@pytest.mark.parametrize("p, transcendental, order", RANDOM_RINGS)
+def test_reduced_basis_arguments_stand_for_their_presentations(p, transcendental, order):
+    # intersect and colon_ideal take a ReducedGB for either ideal; a reduced
+    # grevlex basis of I skips colon_ideal's own Buchberger run
+    ring, coefficient = _random_ring(p, transcendental, order)
+    rng = random.Random(p * 13 + (transcendental is not None) + 2 * (order == LEX))
+    for _ in range(3):
+        I = ring.ideal(*(_random_poly(rng, ring, coefficient=coefficient) for _ in range(2)))
+        J = ring.ideal(*(_random_poly(rng, ring, coefficient=coefficient) for _ in range(2)))
+        for gb_I in (buchberger(I, GREVLEX), buchberger(I)):
+            P = gb_I.presentation()
+            assert intersect(gb_I, J) == intersect(P, J)
+            assert colon_ideal(gb_I, J) == colon_ideal(P, J)
+        gb_J = buchberger(J)
+        assert intersect(I, gb_J) == intersect(I, gb_J.presentation())
+        assert colon_ideal(I, gb_J) == colon_ideal(I, gb_J.presentation())
+
+
 FEDDER_CASES = {
     "xy,zw": (("x", "y", "z", "w"), lambda x, y, z, w: (x * y, z * w)),
     "x2-yz,y2-xz": (("x", "y", "z"), lambda x, y, z: (x**2 - y * z, y**2 - x * z)),

@@ -140,6 +140,26 @@ def test_determinantal_hypersurface_matches_the_toric_count(p, e):
     assert (rep.splitting_length, rep.dim, rep.s_e) == (count, 3, Fraction(count, q**3))
 
 
+@pytest.mark.parametrize("p, e, lam", [(2, 1, 10), (2, 2, 135), (3, 1, 45)])
+def test_segre_minors_match_the_toric_count(p, e, lam):
+    # the 2x2 minors of [[a, b, c], [d, e, f]] cut out the Segre cone, the
+    # toric ring of {x^u y^v : |u| = |v|} with u in N^2 and v in N^3, so
+    # lambda_e = sum_s N_2(s) N_3(s), where N_k(s) counts the ways to write
+    # s as a sum of k integers in [0, q); K = (I^[q] : I) has several
+    # generators, so colon_ideal runs a running intersection
+    R = Ring(PrimeField(p), ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e_, f = R.gens()
+    q = p**e
+
+    def ways(k, s):
+        return sum(1 for t in itertools.product(range(q), repeat=k) if sum(t) == s)
+
+    assert sum(ways(2, s) * ways(3, s) for s in range(2 * q - 1)) == lam
+    I = R.ideal(a * e_ - b * d, a * f - c * d, b * f - c * e_)
+    rep = normalized_splitting_number(I, e, q**6)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (lam, 4, Fraction(lam, q**4))
+
+
 def test_corpus_pinned_values():
     for entry in CORPUS:
         for e, expected in entry.expected_s.items():

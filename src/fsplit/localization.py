@@ -103,7 +103,7 @@ def localize_at_coordinate_prime(I: IdealPresentation, P: CoordinatePrime):
 def s_e_at_prime(
     I: IdealPresentation, P: CoordinatePrime, e: int, budget: int = DEFAULT_BUDGET
 ) -> SplittingReport:
-    """Splitting report of the localization at P; dim and alpha are local."""
+    """Splitting report of the localization at P; dim is global, not that of R_P."""
     _, I_p = localize_at_coordinate_prime(I, P)
     return normalized_splitting_number(I_p, e, budget)
 

@@ -369,9 +369,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms or not any(self.terms[0][0])
-
     def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
         if not self.terms:
             return self

@@ -10,15 +10,18 @@ with n the ideal of all ring variables, q = p^e, K = (I^[q] : I), and the
 zero-ideal convention (0^[q] : 0) = S. The normalized number is
 s_e = lambda / q^dim as an exact rational, and a_e = s_e * q^(dim + alpha).
 
-Everything is anchored at the origin: computations happen in the graded
-polynomial ring, which for this input class is taken to agree with the
-corresponding local computation; that assumption is recorded here rather
-than re-derived per call. A proper ideal with a generator that has a nonzero
-constant term does not vanish at the origin, so the splitting and socle entry
-points reject it with NotContaining. A Gorenstein route through a system of
-parameters and a socle generator is provided as an independent cross-check.
-The socle work (the bases of A = I + (sop) and of (A : n)) runs once per
-call, whether the socle element is computed or supplied.
+Everything is anchored at the origin. Each entry point, and each sweep of
+``f_signature_sequence``, sets I up once: one reduced grevlex basis of I
+rejects the unit ideal (NotArtinian) and a proper I with a constant term in a
+generator, whose V(I) misses the origin (NotContaining), and gives dim. The
+length lambda is local to the origin, but dim is the global Krull dimension
+of S/I, so s_e is wrong when a component of V(I) away from the origin has a
+larger dimension than every one through it; two strict xfails pin this,
+``test_local_value_at_the_origin`` and ``test_local_value_at_a_prime``.
+A Gorenstein route through a system of parameters and a socle generator is
+an independent cross-check. Its socle work (the bases of A = I + (sop) and
+of (A : n)) runs once per call, whether the socle element is computed or
+supplied.
 
 Both routes see K only through K + n^[q], so K is built modulo n^[q]. For a
 principal I = (f), K = (f^(q-1)) (Fedder, "F-purity and rational
@@ -36,7 +39,6 @@ exactly without forming f^(q-1):
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,8 +64,6 @@ from .poly import (
     pack,
     unpack,
 )
-
-log = logging.getLogger("fsplit")
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class SignatureEstimate:
 
 
 def _guard(ring: Ring, e: int, budget: int) -> int:
+    if e < 0:
+        raise ValueError("e must be nonnegative")
     q = ring.field.characteristic**e
     if q**ring.nvars > budget:
         raise CostGuardExceeded(
@@ -120,16 +122,19 @@ def _guard(ring: Ring, e: int, budget: int) -> int:
     return q
 
 
-def _require_origin(I: IdealPresentation) -> None:
-    """Reject a proper I that is not inside n, so the origin is not on V(I).
+def _origin_dimension(I: IdealPresentation) -> int:
+    """Global dim S/I from one reduced grevlex basis of I, with the origin on V(I).
 
-    1 is the smallest monomial under every order, so a generator has a
-    constant term iff its last term is constant. The unit ideal passes here
-    and fails later as NotArtinian.
+    The unit ideal raises NotArtinian, and a proper I with a constant term in
+    a generator NotContaining; 1 is the smallest monomial under every order,
+    so that is a constant last term.
     """
+    G = buchberger(I, GREVLEX)
+    if G.is_unit_ideal():
+        raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
     if any(not any(g.terms[-1][0]) for g in I.nonzero_generators()):
-        if not buchberger(I, GREVLEX).is_unit_ideal():
-            raise NotContaining(f"{I} is not contained in the ideal of the origin")
+        raise NotContaining(f"{I} is not contained in the ideal of the origin")
+    return krull_dimension(G)
 
 
 def _truncated_power(f: Polynomial, e: int) -> Polynomial:
@@ -207,64 +212,62 @@ def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
     return K.presentation()
 
 
-def _with_multiplier(I: IdealPresentation, e: int, budget: int):
-    if e < 0:
-        raise ValueError("e must be nonnegative")
-    ring = I.ring
-    q = _guard(ring, e, budget)
-    _require_origin(I)
-    nq = frobenius_power(ring.variable_ideal(), e)
-    return ring, q, nq, _colon_multiplier(I, e)
-
-
 def _primal_gb(nq: IdealPresentation, K: IdealPresentation) -> ReducedGB:
     return colon_ideal(nq, K)
 
 
-def _dual_length(ring: Ring, q: int, nq: IdealPresentation, K: IdealPresentation) -> int:
-    summed = ideal_sum(K, nq)
-    codim = length(buchberger(summed, GREVLEX))
-    return q**ring.nvars - codim
+def _dual_length(q: int, nq: IdealPresentation, K: IdealPresentation) -> int:
+    return q**nq.ring.nvars - length(buchberger(ideal_sum(K, nq), GREVLEX))
 
 
 def splitting_ideal(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> ReducedGB:
     """Groebner basis of J = n^[q] : (I^[q] : I), the splitting-length ideal."""
-    _, _, nq, K = _with_multiplier(I, e, budget)
-    return _primal_gb(nq, K)
+    _guard(I.ring, e, budget)
+    _origin_dimension(I)
+    return _primal_gb(frobenius_power(I.ring.variable_ideal(), e), _colon_multiplier(I, e))
 
 
 def dual_splitting_length(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
     """lambda((K + n^[q]) / n^[q]) as q^n minus a staircase count."""
-    ring, q, nq, K = _with_multiplier(I, e, budget)
-    return _dual_length(ring, q, nq, K)
+    q = _guard(I.ring, e, budget)
+    _origin_dimension(I)
+    return _dual_length(q, frobenius_power(I.ring.variable_ideal(), e), _colon_multiplier(I, e))
 
 
 def normalized_splitting_number(
     I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET
 ) -> SplittingReport:
     """SplittingReport at the origin; primal and dual lengths must agree exactly."""
-    ring, q, nq, K = _with_multiplier(I, e, budget)
+    q = _guard(I.ring, e, budget)
+    return _splitting_report(I, e, q, _origin_dimension(I))
+
+
+def _splitting_report(I: IdealPresentation, e: int, q: int, d: int) -> SplittingReport:
+    """The report at one e for an I already set up, with d = dim S/I."""
+    nq = frobenius_power(I.ring.variable_ideal(), e)
+    K = _colon_multiplier(I, e)
     lam = length(_primal_gb(nq, K))
-    dual = _dual_length(ring, q, nq, K)
+    dual = _dual_length(q, nq, K)
     if dual != lam:
         raise InternalInconsistency(
             f"primal splitting length {lam} != dual splitting length {dual}"
         )
-    d = krull_dimension(buchberger(I, GREVLEX))
-    return _make_report(ring, e, lam, d)
+    return _make_report(I, e, lam, d)
 
 
-def _make_report(ring: Ring, e: int, lam: int, d: int) -> SplittingReport:
-    if d < 0:
-        raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
-    q = ring.field.characteristic**e
-    a = ring.field.alpha()
+def _make_report(I: IdealPresentation, e: int, lam: int, d: int) -> SplittingReport:
+    """a_e counts free summands of F^e_* R, of rank q^(dim + alpha), so s_e <= 1."""
+    field = I.ring.field
+    q = field.characteristic**e
+    a = field.alpha()
     s = Fraction(lam, q**d)
     a_e = s * q ** (d + a)
     if a_e.denominator != 1:
         raise InternalInconsistency(f"a_e = {a_e} is not an integer")
     if s > 1:
-        log.warning("noteworthy: s_%d = %s exceeds 1", e, s)
+        raise InternalInconsistency(
+            f"{I} in {I.ring!r} at e = {e}: s_e = {s} exceeds 1 (lambda = {lam}, dim = {d})"
+        )
     return SplittingReport(e, q, lam, d, a, s, int(a_e))
 
 
@@ -297,8 +300,7 @@ def _socle_bases(I: IdealPresentation, sop: tuple) -> tuple:
     (A : n)/A is one-dimensional.
     """
     ring = I.ring
-    _require_origin(I)
-    d = krull_dimension(buchberger(I, GREVLEX))
+    d = _origin_dimension(I)
     if len(sop) != d:
         raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
     A = ideal_sum(I, IdealPresentation(ring, sop))
@@ -347,8 +349,6 @@ def gorenstein_splitting_number(
     default u is the computed socle generator. A supplied u must lie outside
     A = I + (sop) and inside (A : n), against the same certified bases.
     """
-    if e < 0:
-        raise ValueError("e must be nonnegative")
     ring = I.ring
     sop = tuple(sop)
     _guard(ring, e, budget)
@@ -363,8 +363,7 @@ def gorenstein_splitting_number(
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
     uq = u.frobenius(e)
     C = colon_ideal(B, IdealPresentation(ring, (uq,)))
-    lam = length(C)
-    return _make_report(ring, e, lam, len(sop))
+    return _make_report(I, e, length(C), len(sop))
 
 
 def f_signature_sequence(
@@ -377,20 +376,24 @@ def f_signature_sequence(
     """
     if e_max < 1:
         raise ValueError("e_max must be positive")
+    ring = I.ring
     reports = []
     for e in range(e_max + 1):
         try:
-            rep = normalized_splitting_number(I, e, budget)
+            q = _guard(ring, e, budget)
         except CostGuardExceeded as exc:
             raise CostGuardExceeded(
                 str(exc), partial=_assemble_estimate(tuple(reports))
             ) from exc
+        if e == 0:
+            d = _origin_dimension(I)  # once per sweep, after the first guard
+        rep = _splitting_report(I, e, q, d)
         if reports:
             prev = reports[-1].splitting_length
-            bound = I.ring.field.characteristic**I.ring.nvars * prev
+            bound = ring.field.characteristic**ring.nvars * prev
             if rep.splitting_length > bound:
                 raise InternalInconsistency(
-                    f"{I} in {I.ring!r}: lambda_{e} = {rep.splitting_length} exceeds "
+                    f"{I} in {ring!r}: lambda_{e} = {rep.splitting_length} exceeds "
                     f"p^n * lambda_{e - 1} = {bound} (lambda_{e - 1} = {prev})"
                 )
         reports.append(rep)

@@ -71,27 +71,52 @@ def test_dual_examples():
     assert dual_splitting_length(R5.ideal(y5**2 - x5**3), 1) == 0
 
 
-def test_unit_ideal_rejected_cleanly():
-    x2, _ = R2.gens()
-    with pytest.raises(NotArtinian):
-        normalized_splitting_number(R2.ideal(x2, x2 + 1), 1)
-
-
 R3 = Ring(PrimeField(3), ("x", "y"))
 
 
+def _routes(sop):
+    """Every single-e entry point as route(I, e, budget)."""
+    return (
+        normalized_splitting_number,
+        splitting_ideal,
+        dual_splitting_length,
+        lambda I, e, budget: gorenstein_splitting_number(I, sop, e, budget=budget),
+        lambda I, e, budget: gorenstein_splitting_number(I, sop, e, u=sop[0], budget=budget),
+    )
+
+
+def test_unit_ideal_rejected_cleanly():
+    x2, y2 = R2.gens()
+    unit = R2.ideal(x2, x2 + 1)
+    for route in _routes((y2,)):
+        with pytest.raises(NotArtinian):
+            route(unit, 1, budget=4)
+    with pytest.raises(NotArtinian):
+        socle_generator(unit, ())
+    with pytest.raises(NotArtinian):
+        f_signature_sequence(unit, 2)
+
+
 def test_ideal_off_the_origin_rejected():
+    # e < 0 raises first, then the cost guard, then the origin check
     x, y = R3.gens()
     I = R3.ideal(x - 1)  # V(I) misses the origin, so s_e is undefined there
-    for route in (normalized_splitting_number, splitting_ideal, dual_splitting_length):
+    for route in _routes((y,)):
+        with pytest.raises(ValueError):
+            route(I, -1, budget=0)
+        with pytest.raises(CostGuardExceeded):
+            route(I, 1, budget=8)  # q^n = 9
         with pytest.raises(NotContaining):
-            route(I, 1)
-    with pytest.raises(NotContaining):
-        gorenstein_splitting_number(I, (y,), 1)
+            route(I, 1, budget=9)
     with pytest.raises(NotContaining):
         gorenstein_splitting_number(I, (y,), 1, u=R3.one())
     with pytest.raises(NotContaining):
         socle_generator(I, (y,))
+    with pytest.raises(CostGuardExceeded) as info:
+        f_signature_sequence(I, 2, budget=0)
+    assert info.value.partial.reports == ()
+    with pytest.raises(NotContaining):
+        f_signature_sequence(I, 2)
 
 
 def test_ideal_through_the_origin_not_rejected():
@@ -295,17 +320,61 @@ def test_signature_sequence_checks_the_flatness_bound(monkeypatch):
     # lambda_(e+1) <= p^n * lambda_e; a report that breaks it must raise
     x2, y2 = R2.gens()
     I = R2.ideal(x2 * y2)
-    honest = splitting.normalized_splitting_number
+    honest = splitting._splitting_report
 
-    def inflated(J, e, budget):
-        rep = honest(J, e, budget)
+    def inflated(J, e, q, d):
+        rep = honest(J, e, q, d)
         return dataclasses.replace(rep, splitting_length=5) if e == 2 else rep
 
-    monkeypatch.setattr(splitting, "normalized_splitting_number", inflated)
+    monkeypatch.setattr(splitting, "_splitting_report", inflated)
     with pytest.raises(InternalInconsistency) as info:
         f_signature_sequence(I, 3)
     msg = str(info.value)
     assert "F_2[x,y]" in msg and "lambda_2 = 5" in msg and "lambda_1 = 1" in msg
+
+
+def test_s_e_above_one_is_an_inconsistency(monkeypatch):
+    # a_e <= q^(dim + alpha), so a correct lambda has s_e <= 1. For xy over
+    # F_2 at e = 1 the primal length is 1 and the dual staircase count 3;
+    # taking every length as its complement in q^n = 4 keeps the two routes
+    # in agreement at lambda = 3 > q^dim = 2
+    honest = splitting.length
+    monkeypatch.setattr(splitting, "length", lambda gb: 4 - honest(gb))
+    x2, y2 = R2.gens()
+    with pytest.raises(InternalInconsistency) as info:
+        normalized_splitting_number(R2.ideal(x2 * y2), 1)
+    msg = str(info.value)
+    for part in ("x*y", "F_2[x,y]", "e = 1", "s_e = 3/2", "lambda = 3", "dim = 1"):
+        assert part in msg, (part, msg)
+
+
+R2_4 = Ring(PrimeField(2), ("x", "y", "z", "w"))
+
+
+def _twisted_cubic():
+    x, y, z, w = R2_4.gens()
+    return R2_4.ideal(x * z - y**2, y * w - z**2, x * w - y * z)
+
+
+def test_origin_step_runs_once_per_call_and_per_sweep(monkeypatch):
+    # one reduced basis of I gives both the NotContaining check and dim S/I,
+    # once per call and once per sweep, not once per e
+    I = _twisted_cubic()
+    on_I = []
+
+    def counted(J, *args, **kwargs):
+        if J is I:
+            on_I.append(1)
+        return buchberger(J, *args, **kwargs)
+
+    monkeypatch.setattr(splitting, "buchberger", counted)
+    est = f_signature_sequence(I, 3)
+    assert est.values() == (1, Fraction(1, 4), Fraction(3, 8), Fraction(21, 64))
+    assert len(on_I) == 1
+    for e in range(4):
+        on_I.clear()
+        assert normalized_splitting_number(I, e) == est.reports[e]
+        assert len(on_I) == 1
 
 
 def test_cost_guard_partial_results():
@@ -315,6 +384,12 @@ def test_cost_guard_partial_results():
     partial = info.value.partial
     assert partial is not None
     assert partial.values() == (1, Fraction(1, 2))  # e = 0, 1 fit in a budget of 10
+    I = _twisted_cubic()
+    with pytest.raises(CostGuardExceeded) as info:
+        f_signature_sequence(I, 3, budget=4**4)  # e = 3 needs 8^4
+    assert info.value.partial.reports == tuple(
+        normalized_splitting_number(I, e) for e in range(3)
+    )
 
 
 def test_report_json_roundtrip():

@@ -14,18 +14,8 @@ exponent of the first remaining variable, ``m >> 17`` drops it, ``0 < m <=
 from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
-from .groebner import ReducedGB
+from .groebner import ReducedGB, _minimalize
 from .poly import _FIELD_BITS, _MASK, guard_mask, pack
-
-
-def _minimalize(gens, guard: int) -> tuple:
-    """The minimal packed monomials of ``gens``, ascending."""
-    out: list[int] = []
-    for g in sorted(set(gens)):
-        gg = g | guard
-        if not any((gg - h) & guard == guard for h in out):
-            out.append(g)
-    return tuple(out)
 
 
 def is_artinian(gb: ReducedGB) -> bool:

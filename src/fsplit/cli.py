@@ -23,7 +23,6 @@ from .localization import (
     check_localization_monotonicity,
     semicontinuity_scan,
 )
-from .oracle import oracle_dual_splitting_length, oracle_length_mod_bracket
 from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (
     f_signature_sequence,
@@ -83,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gor.add_argument("--socle", default=None,
                        help="socle generator lift (default: file socle hint, else computed)")
 
-    p_oracle = sub.add_parser("oracle", help=argparse.SUPPRESS)
-    common(p_oracle)
-    p_oracle.add_argument("--e", type=int, required=True)
-    p_oracle.add_argument("--mode", choices=("bracket-length", "dual-length"),
-                          default="dual-length")
-
     return parser
 
 
@@ -139,12 +132,15 @@ def _ring_summary(spec: RingSpec) -> dict:
 
 
 def _parse_prime_token(spec: RingSpec, token: str) -> CoordinatePrime:
+    """A named prime, ``0``/empty for the zero prime, or ring variables."""
     token = token.strip()
     if token in spec.primes:
         return spec.primes[token]
     if token in ("0", ""):
         return CoordinatePrime(())
     names = tuple(v.strip() for v in token.split(","))
+    if not set(names) <= set(spec.ring.variables):
+        raise _UsageError(f"prime {token!r} is neither a named prime nor ring variables")
     return CoordinatePrime(names)
 
 
@@ -152,7 +148,11 @@ def _parse_chain_token(spec: RingSpec, token: str) -> PrimeChain:
     token = token.strip()
     if token in spec.chains:
         return spec.chains[token]
-    return PrimeChain(tuple(_parse_prime_token(spec, part) for part in token.split("<")))
+    primes = tuple(_parse_prime_token(spec, part) for part in token.split("<"))
+    try:
+        return PrimeChain(primes)
+    except FsplitError as exc:
+        raise _UsageError(f"chain {token!r}: {exc}") from None
 
 
 def _cmd_se(args) -> None:
@@ -177,21 +177,23 @@ def _cmd_probe(args) -> None:
         thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
-    report = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget)
-    payload = {"schema": SCHEMA, "command": "probe", "ring": _ring_summary(spec)}
-    payload.update(report.to_json_obj())
+    chains = None
     if args.chains is not None:
+        chains = [_parse_chain_token(spec, token) for token in args.chains.split("|")]
         if not spec.equidimensional:
             raise MissingFlag(
                 "monotonicity checks need 'equidimensional = true' in the ring file"
             )
-        results = []
-        for token in args.chains.split("|"):
-            chain = _parse_chain_token(spec, token)
-            outcome = check_localization_monotonicity(
+    report = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget)
+    payload = {"schema": SCHEMA, "command": "probe", "ring": _ring_summary(spec)}
+    payload.update(report.to_json_obj())
+    if chains is not None:
+        results = [
+            check_localization_monotonicity(
                 spec.ideal, chain, args.e, equidimensional=True, budget=budget
-            )
-            results.append(outcome.to_json_obj())
+            ).to_json_obj()
+            for chain in chains
+        ]
         payload["monotonicity"] = results
         payload["passed"] = payload["passed"] and all(r["monotone"] for r in results)
     _emit(args, payload)
@@ -226,27 +228,10 @@ def _cmd_gorenstein(args) -> None:
     _emit(args, payload)
 
 
-def _cmd_oracle(args) -> None:
-    spec = _load(args)
-    budget = _budget(args)
-    if args.mode == "bracket-length":
-        value = oracle_length_mod_bracket(spec.ideal, args.e, budget)
-    else:
-        value = oracle_dual_splitting_length(spec.ideal, args.e, budget)
-    _emit(args, {
-        "schema": SCHEMA,
-        "command": "oracle",
-        "mode": args.mode,
-        "e": args.e,
-        "value": str(value),
-    })
-
-
 _DISPATCH = {
     "se": _cmd_se,
     "probe": _cmd_probe,
     "gorenstein": _cmd_gorenstein,
-    "oracle": _cmd_oracle,
 }
 
 

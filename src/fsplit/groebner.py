@@ -15,14 +15,9 @@ their given order, reducers are scanned in insertion order, and the reduced
 basis is sorted by leading monomial. That fixed tie order makes the engine
 deterministic: identical inputs give byte-identical bases.
 
-The final interreduction does only the work that can remain. A lead divides
-only terms no smaller than itself, so an element's tail can meet only smaller
-leads. Buchberger's basis only grows, and each element enters fully reduced
-against every element before it, so only a kept lead inserted later can divide
-one of its terms. Tails are reduced in ascending lead order, and ``_nf`` runs
-only on an element where such a lead divides a tail term. Each tail then
-equals the unique normal form of minus its lead, so the result is the unique
-reduced basis, whichever elements a tail was reduced against.
+The final interreduction reduces tails in ascending lead order. A lead that
+divides a tail term divides the tail's lcm, so ``_nf`` runs only on an element
+where a smaller kept lead that divides that lcm divides a tail term.
 """
 
 from __future__ import annotations
@@ -186,6 +181,17 @@ def _packed_lcm(a: int, b: int, guard: int) -> int:
     return b ^ ((a ^ b) & (ge - (ge >> 16)))
 
 
+def _minimalize(gens, guard: int) -> tuple:
+    """The minimal packed monomials of ``gens``, ascending; a proper divisor is a
+    smaller integer, so each is tested only against the minimal ones before it."""
+    out: list[int] = []
+    for g in sorted(set(gens)):
+        gg = g | guard
+        if not any((gg - h) & guard == guard for h in out):
+            out.append(g)
+    return tuple(out)
+
+
 def _support(m: int, guard: int) -> int:
     """The guard bits of the variables a packed monomial involves; two monomials
     are coprime iff their supports are disjoint."""
@@ -195,28 +201,22 @@ def _support(m: int, guard: int) -> int:
 class ReducedGB:
     """A reduced Groebner basis: monic, mutually reduced, sorted by leading term.
 
-    Its state is the working form under ``order``: one descending
-    (key, packed monomial, coeff) list per element, as Buchberger leaves it.
-    ``basis`` (Polynomials) and ``lead_exponents`` are built from it on first
-    read and kept, so a basis that only feeds further engine steps never
-    builds a Polynomial.
+    Its state is ``terms``, the working form under ``order``: one descending
+    (key, packed monomial, coeff) list per element, as ``_reduce_basis``
+    leaves it. ``basis`` (Polynomials) and ``lead_exponents`` are built from
+    it on first read and kept, so a basis that only feeds further engine steps
+    never builds a Polynomial. A reduced basis of Polynomials comes from
+    ``buchberger`` or ``interreduce``.
     """
 
     __slots__ = ("ring", "order", "_terms", "_basis", "_leads")
 
-    def __init__(self, ring: Ring, order: MonomialOrder, basis):
+    def __init__(self, ring: Ring, order: MonomialOrder, terms):
         self.ring = ring
         self.order = order
-        self._basis = tuple(basis)
-        self._terms = tuple(_internal(g, order.key) for g in self._basis)
+        self._terms = tuple(terms)
+        self._basis = None
         self._leads = None
-
-    @classmethod
-    def _packed(cls, ring: Ring, order: MonomialOrder, terms) -> "ReducedGB":
-        """The basis whose working form is ``terms``."""
-        gb = cls.__new__(cls)
-        gb.ring, gb.order, gb._terms, gb._basis, gb._leads = ring, order, tuple(terms), None, None
-        return gb
 
     @property
     def basis(self) -> tuple:
@@ -316,13 +316,8 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
             entry = by_lcm.setdefault(_packed_lcm(packed[g], lh, guard), [g, False])
             if not supports[g] & sh:
                 entry[1] = True
-        minimal: list[int] = []
         fresh = []
-        for l in sorted(by_lcm):  # a proper divisor is a smaller integer
-            lg = l | guard
-            if any((lg - m) & guard == guard for m in minimal):
-                continue
-            minimal.append(l)
+        for l in _minimalize(by_lcm, guard):
             g, coprime = by_lcm[l]
             if not coprime:
                 el = unpack(l, nvars)
@@ -357,7 +352,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         if r:
             add(r, s)
 
-    return _reduce_basis(ring, order, basis, True)
+    return _reduce_basis(ring, order, basis)
 
 
 def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
@@ -369,40 +364,40 @@ def interreduce(ring: Ring, gens, order: MonomialOrder) -> ReducedGB:
     """
     field = ring.field
     basis = [_monic(_internal(g, order.key), field) for g in gens if not g.is_zero()]
-    return _reduce_basis(ring, order, basis, False)
+    return _reduce_basis(ring, order, basis)
 
 
-def _reduce_basis(ring: Ring, order: MonomialOrder, basis: list, grown: bool) -> ReducedGB:
+def _reduce_basis(ring: Ring, order: MonomialOrder, basis: list) -> ReducedGB:
     """The reduced basis from a monic Groebner basis: drop each element whose lead
     another lead divides, then reduce the tails of the rest in ascending lead order.
 
-    The tail of the element at sorted position s can meet only the leads at
-    positions below s, and those elements are already final. With ``grown`` the
-    basis is Buchberger's: ``basis[i]`` left ``_nf`` fully reduced against
-    ``basis[:i]``, so only a kept lead inserted after it (index j > i) can divide
-    one of its terms. ``_nf`` runs only where such a lead divides a tail term;
-    the result is the unique reduced basis either way (see the module docstring).
+    A tail can meet only the smaller kept leads, whose elements are already
+    final, and only those that divide its lcm. Each tail ends as the unique
+    normal form of minus its lead, so the result is the unique reduced basis.
     """
     field = ring.field
     guard = guard_mask(ring.nvars)
-    packed = [t[0][1] for t in basis]
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i][0][0])
-    kept: list[int] = []
-    for i in order_idx:
-        lg = packed[i] | guard
-        if not any((lg - packed[j]) & guard == guard for j in kept):
-            kept.append(i)
-    polys: list[list] = []
-    lexps = [packed[i] for i in kept]
-    for s, i in enumerate(kept):
-        t = basis[i]
-        leads = [packed[j] for j in kept[:s] if j > i or not grown]
-        if leads and any(((m | guard) - l) & guard == guard for _, m, _ in t[1:] for l in leads):
-            t = _nf(t, polys, lexps[:s], field, guard)
-            if not t or t[0][1] != lexps[s]:
-                raise InternalInconsistency("interreduction destroyed a leading term")
-        polys.append(t)
-    return ReducedGB._packed(ring, order, polys)
+    kept: list[list] = []
+    leads: list[int] = []
+    for t in sorted(basis, key=lambda t: t[0][0]):  # stable: first of equal leads
+        lead = t[0][1]
+        lg = lead | guard
+        if any((lg - l) & guard == guard for l in leads):
+            continue
+        tail = t[1:]
+        if tail:
+            tail_lcm = 0
+            for _, m, _ in tail:
+                tail_lcm = _packed_lcm(tail_lcm, m, guard)
+            tg = tail_lcm | guard
+            near = [l for l in leads if (tg - l) & guard == guard]
+            if near and any(((m | guard) - l) & guard == guard for _, m, _ in tail for l in near):
+                t = _nf(t, kept, leads, field, guard)
+                if not t or t[0][1] != lead:
+                    raise InternalInconsistency("interreduction destroyed a leading term")
+        kept.append(t)
+        leads.append(lead)
+    return ReducedGB(ring, order, kept)
 
 
 def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:

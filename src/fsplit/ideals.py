@@ -139,7 +139,7 @@ def intersect(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB
     kept = [
         [(k & low, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms if not h[0][1] & _MASK
     ]
-    return ReducedGB._packed(ring, GREVLEX, kept)
+    return ReducedGB(ring, GREVLEX, kept)
 
 
 def _divide(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
@@ -225,10 +225,10 @@ def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | Reduced
         if not f:
             continue  # f in I, so (I : f) = S
         f = _monic(f, field)
-        inter = intersect(I, ReducedGB._packed(ring, GREVLEX, (f,)))
+        inter = intersect(I, ReducedGB(ring, GREVLEX, (f,)))
         quotients = [_divide(ring, GREVLEX, h, f) for h in inter._terms]
-        gb = _reduce_basis(ring, GREVLEX, quotients, False)
+        gb = _reduce_basis(ring, GREVLEX, quotients)
         result = gb if result is None else intersect(result, gb)
-    if result is None:
-        return ReducedGB(ring, GREVLEX, (ring.one(),))
+    if result is None:  # every f lies in I: the unit ideal, one constant term
+        return ReducedGB(ring, GREVLEX, ([(GREVLEX.key((0,) * ring.nvars), 0, field.one())],))
     return result

@@ -151,14 +151,6 @@ def test_se_ideal_off_the_origin_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "not contained" in err
 
 
-def test_oracle_hidden_command(files, capsys):
-    code, out, _ = run(
-        capsys, "oracle", files["node2"], "--e", "1", "--mode", "dual-length", "--no-timestamp"
-    )
-    assert code == 0
-    assert json.loads(out)["value"] == "1"
-
-
 def test_usage_errors_exit_1(files, capsys):
     assert run(capsys, "se", files["node2"])[0] == 1  # missing --e/--emax
     assert run(capsys)[0] == 1  # missing subcommand
@@ -265,6 +257,25 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith("fsplit: error: ") and "--thresholds must be rationals" in err
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (("--primes", "Pz"), "'Pz'"),
+        (("--primes", "x|x,w"), "'x,w'"),
+        (("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
+        (("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
+    ],
+    ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain"],
+)
+def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, flags, needle):
+    code, out, err = run(
+        capsys, "probe", files["node3"], "--e", "1", "--thresholds", "0", *flags
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert err.startswith("fsplit: error: ") and needle in err
 
 
 def test_successive_calls_share_one_parser(files, capsys):

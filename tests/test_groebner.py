@@ -14,7 +14,6 @@ from fsplit import (
     MonomialOrder,
     PrimeField,
     RationalFunctionField,
-    ReducedGB,
     Ring,
     buchberger,
     ideal_member,
@@ -240,7 +239,7 @@ def test_reduced_gb_from_working_form_equals_one_from_polynomials(
     transcendental, ring_order, order
 ):
     # buchberger returns a basis held in working form, whose Polynomials are
-    # built on first read; the public constructor takes Polynomials
+    # built on first read; interreduce starts from Polynomials
     if transcendental is None:
         field, coefficient = PrimeField(5), None
     else:
@@ -251,7 +250,7 @@ def test_reduced_gb_from_working_form_equals_one_from_polynomials(
     for _ in range(8):
         ideal = _random_ideal(rng, ring, 3, 2, coefficient)
         packed = buchberger(ideal, order)
-        built = ReducedGB(ring, order, buchberger(ideal, order).basis)
+        built = interreduce(ring, buchberger(ideal, order).basis, order)
         assert packed == built and built == packed
         assert hash(packed) == hash(built)
         assert packed.lead_exponents == built.lead_exponents
@@ -274,15 +273,19 @@ INTERREDUCE_RINGS = [
 
 @pytest.mark.parametrize("ring", INTERREDUCE_RINGS)
 def test_buchberger_output_is_fully_interreduced(ring):
-    # buchberger checks each element's tail only against leads inserted after
-    # it; interreduce checks every tail against every smaller lead. The input
-    # generators followed by the reduced basis are a Groebner basis, so both
-    # must give the same reduced basis.
+    # buchberger and interreduce share one interreduction, so each result is
+    # also checked by validate_reduced_gb, which tests every term against
+    # every other lead without the packed tail filter. The input generators
+    # followed by the reduced basis are a Groebner basis, so both must give
+    # the same reduced basis.
     rng = random.Random(ring.field.characteristic)
     for _ in range(20):
         ideal = _random_ideal(rng, ring, 3)
         gb = buchberger(ideal)
-        assert interreduce(ring, list(ideal.generators) + list(gb.basis), ring.order) == gb
+        again = interreduce(ring, list(ideal.generators) + list(gb.basis), ring.order)
+        validate_reduced_gb(gb)
+        validate_reduced_gb(again)
+        assert again == gb
 
 
 # fields near both ends of the 16-bit range, so either operand can be larger
@@ -313,7 +316,9 @@ def _parse_ideal(ring, *texts):
 # criterion), which leaves a different or non-Groebner basis. In the last two
 # only a lead inserted after an element reduces its tail: y reduces x^2 - y*z,
 # and t*b + t*c becomes t*b + c only in the final interreduction. The second
-# input is the elim(1) ideal intersect() builds on ad - bc.
+# input is the elim(1) ideal intersect() builds on ad - bc. In the last, the
+# lead y*z that reduces x^3 + x^2*y + y^2*z is given before it and divides
+# only its last tail term, so the tail's lcm must cover every tail term.
 PINNED_BASES = [
     pytest.param(
         lambda: intersect(
@@ -371,6 +376,13 @@ PINNED_BASES = [
         )),
         "GB{c*d; c^2; b*c; a*c; t*d; t*c + c; t*b + c; t*a}",
         id="later-lead-elim-F2",
+    ),
+    pytest.param(
+        lambda: interreduce(
+            R3XYZ, _parse_ideal(R3XYZ, "y*z - z^2", "x^3 + x^2*y + y^2*z").generators, GREVLEX
+        ),
+        "GB{y*z + 2*z^2; x^3 + x^2*y + z^3}",
+        id="earlier-lead-last-term-F3",
     ),
 ]
 

@@ -30,7 +30,6 @@ from .errors import (
     NotGorenstein,
     NotHomogeneous,
     ParseError,
-    ReservedVariable,
     RingMismatch,
     ZeroDivisorColon,
 )

@@ -67,10 +67,6 @@ class DuplicateVariable(FsplitError):
     """Variable or transcendental names collide."""
 
 
-class ReservedVariable(FsplitError):
-    """A reserved internal variable name appeared in user input."""
-
-
 class InternalInconsistency(FsplitError):
     """Two routes that must agree exactly disagreed; indicates a bug."""
 

@@ -42,9 +42,9 @@ from .poly import (
 # variable, 16 value bits under a guard bit. With G the ring's guard mask, a
 # lead b divides a term a iff ((a | G) - b) & G == G, the cofactor is a - b,
 # and a product a + s overflows iff (a + s) & G is nonzero. Packed order keys
-# are affine in the exponents, key(a + b) = key(a) + key(b) - key(0), so a
-# reduction step shifts keys by (term key - lead key) with one integer add and
-# never calls the order's key function. The pair bookkeeping is packed too:
+# are affine in the exponents, key(a + b) = key(a) + key(b) - key(0) (see
+# ``MonomialOrder.key``), so a reduction step shifts keys by (term key - lead
+# key) with one integer add and never calls the order's key function. The pair bookkeeping is packed too:
 # see ``_packed_lcm`` and ``_support``.
 
 

@@ -30,9 +30,10 @@ S-pair formed.
 Both operations stay in Buchberger's working form (``groebner``): descending
 (key, packed monomial, coeff) lists, which a ``ReducedGB`` holds as its state.
 ``intersect`` builds t*I + (t-1)*J in it directly: x^m t^a packs to
-``(m << 17) | a``, and its elim(1) key is the grevlex key of t^a shifted above
-the grevlex key of x^m. It selects the t-free elements of G by their packed
-leads and projects them with ``m >> 17`` and the low bits of the key.
+``(m << 17) | a``, and its elim(1) key is the grevlex key of x^m plus an
+offset that depends on a alone, since keys are affine (``MonomialOrder.key``).
+The t-free elements of G are those whose lead key lies below the offset of
+t^1; it projects them with ``m >> 17`` and by subtracting the offset of t^0.
 ``colon_ideal`` does the normal forms, the exact divisions, the
 interreduction and the running intersection on these lists too, so a
 Polynomial is built only when a caller reads ``ReducedGB.basis``.
@@ -54,19 +55,15 @@ from .groebner import (
     buchberger,
 )
 from .poly import (
-    _DEG_BITS,
     _FIELD_BITS,
-    _MASK,
-    _SHIFT,
     GREVLEX,
-    RESERVED_VARIABLE,
     IdealPresentation,
     MonomialOrder,
     Polynomial,
     Ring,
-    _grevlex_key,
     guard_mask,
     packed_overflow,
+    unpack,
 )
 
 
@@ -85,13 +82,11 @@ def frobenius_power(I: IdealPresentation, e: int) -> IdealPresentation:
 
 
 def _extended_ring(ring: Ring) -> Ring:
-    # auxiliary variable sits in the eliminated first block
-    return Ring(
-        ring.field,
-        (RESERVED_VARIABLE,) + ring.variables,
-        MonomialOrder.elimination(1),
-        _allow_reserved=True,
-    )
+    # the auxiliary variable sits in the eliminated first block; its name is
+    # longer than every name in the ring, so it collides with none
+    names = ring.variables + ring.field.transcendentals
+    t = "t" + "'" * max(map(len, names), default=0)
+    return Ring(ring.field, (t,) + ring.variables, MonomialOrder.elimination(1))
 
 
 def _generators(I) -> tuple:
@@ -115,30 +110,27 @@ def intersect(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB
     ring = I.ring
     n = ring.nvars
     neg = ring.field.neg
+    ext = _extended_ring(ring)
     # t is the first ext variable: x^m t^a packs to (m << 17) | a, and its
-    # elim(1) key is (grevlex key of t^a) << width | (grevlex key of x^m)
-    width = _DEG_BITS + _SHIFT * n
-    t1, t0 = _grevlex_key((1,)) << width, _grevlex_key((0,)) << width
-    deg_shift = _SHIFT * n  # a grevlex lead key >> deg_shift is the total degree
+    # elim(1) key is t_a + (grevlex key of x^m)
+    zero = (0,) * n
+    t0, t1 = (ext.order.key((a,) + zero) - GREVLEX.key(zero) for a in (0, 1))
     gens = [
-        ([(t1 | k, (m << _FIELD_BITS) | 1, c) for k, m, c in f], 1 + (f[0][0] >> deg_shift))
+        ([(t1 + k, (m << _FIELD_BITS) | 1, c) for k, m, c in f], 1 + sum(unpack(f[0][1], n)))
         for f in _generators(I)
     ]
     # (t - 1)*g, not (1 - t)*g: it is monic whenever g is
     gens += [
         (
-            [(t1 | k, (m << _FIELD_BITS) | 1, c) for k, m, c in g]
-            + [(t0 | k, m << _FIELD_BITS, neg(c)) for k, m, c in g],
-            1 + (g[0][0] >> deg_shift),
+            [(t1 + k, (m << _FIELD_BITS) | 1, c) for k, m, c in g]
+            + [(t0 + k, m << _FIELD_BITS, neg(c)) for k, m, c in g],
+            1 + sum(unpack(g[0][1], n)),
         )
         for g in _generators(J)
     ]
-    gb = buchberger(_Working(_extended_ring(ring), gens))
-    # a t-free lead means a t-free element, since t-terms come first
-    low = (1 << width) - 1
-    kept = [
-        [(k & low, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms if not h[0][1] & _MASK
-    ]
+    gb = buchberger(_Working(ext, gens))
+    # a lead below t1 is t-free, and so is its element, since t-terms come first
+    kept = [[(k - t0, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms if h[0][0] < t1]
     return ReducedGB(ring, GREVLEX, kept)
 
 
@@ -147,7 +139,7 @@ def _divide(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
 
     The remainder lives in a dict keyed by order key, drained through a
     max-heap, so each step costs the length of g. Keys are affine:
-    key(e + m) = key(e) + key(m) - key(0).
+    key(e + m) = key(e) + key(m) - key(0) (see ``MonomialOrder.key``).
     """
     field = ring.field
     guard = guard_mask(ring.nvars)

@@ -35,12 +35,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DuplicateVariable,
-    ExponentOverflow,
-    ReservedVariable,
-    RingMismatch,
-)
+from .errors import DuplicateVariable, ExponentOverflow, RingMismatch
 
 if TYPE_CHECKING:
     from .fields import FieldDescriptor
@@ -49,9 +44,6 @@ EXPONENT_LIMIT = 1 << 16  # exclusive per-variable bound
 _SHIFT = 16
 _MASK = EXPONENT_LIMIT - 1
 _DEG_BITS = 24
-
-#: Internal elimination variable; rejected in user input.
-RESERVED_VARIABLE = "t_elim__"
 
 
 def _grevlex_key(exps) -> int:
@@ -76,8 +68,9 @@ class MonomialOrder:
     def __init__(self, kind: str, block: int = 0):
         if kind not in ("lex", "grevlex", "elim"):
             raise ValueError(f"unknown order kind {kind!r}")
-        if kind == "elim" and block < 1:
-            raise ValueError("elimination order needs a positive first-block size")
+        # elim needs an int first block >= 1; lex and grevlex take none
+        if type(block) is not int or (block < 1 if kind == "elim" else block != 0):
+            raise ValueError(f"{kind} order cannot take block {block!r}")
         self.kind = kind
         self.block = block
 
@@ -95,6 +88,15 @@ class MonomialOrder:
         return cls("elim", block)
 
     def key(self, exps) -> int:
+        """Packed integer key: a monomial is larger than another iff its key is.
+
+        Keys are affine in the exponents, key(u + w) = key(u) + key(w) - key(0):
+        each field holds an exponent a, 2^16 - 1 - a, or a block's total
+        degree, and no field reaches into the next while exponents stay below
+        2^16. So the elim(1) key of t^a*x^m is the grevlex key of x^m plus a
+        constant that depends on a alone. ``groebner``'s reduction steps,
+        ``ideals._divide`` and ``ideals.intersect`` rely on this.
+        """
         if self.kind == "grevlex":
             return _grevlex_key(exps)
         if self.kind == "lex":
@@ -133,16 +135,13 @@ class Ring:
 
     __slots__ = ("field", "variables", "order")
 
-    def __init__(self, field: FieldDescriptor, variables, order: MonomialOrder = GREVLEX,
-                 _allow_reserved: bool = False):
+    def __init__(self, field: FieldDescriptor, variables, order: MonomialOrder = GREVLEX):
         names = tuple(variables)
         if len(set(names)) != len(names):
             raise DuplicateVariable(f"duplicate ring variable in {names}")
         clash = set(names) & set(field.transcendentals)
         if clash:
             raise DuplicateVariable(f"names {sorted(clash)} are already transcendentals")
-        if not _allow_reserved and RESERVED_VARIABLE in names:
-            raise ReservedVariable(f"{RESERVED_VARIABLE!r} is reserved for internal use")
         self.field = field
         self.variables = names
         self.order = order

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (
-    DuplicateVariable,
-    ParseError,
-    ReservedVariable,
-)
+from .errors import DuplicateVariable, ParseError
 from .fields import PrimeField, RationalFunctionField, check_characteristic
 from .localization import CoordinatePrime, PrimeChain
-from .poly import GREVLEX, RESERVED_VARIABLE, IdealPresentation, Polynomial, Ring
+from .poly import GREVLEX, IdealPresentation, Polynomial, Ring
 
 
 @dataclass
@@ -212,8 +208,6 @@ def _names(value: str, lineno: int, kind: str):
     for name in names:
         if not name or name[0] not in _IDENT_START or any(c not in _IDENT_CONT for c in name):
             raise ParseError(f"invalid {kind} name {name!r}", lineno)
-        if name == RESERVED_VARIABLE:
-            raise ReservedVariable(f"{name!r} is reserved for internal use")
     if len(set(names)) != len(names):
         raise DuplicateVariable(f"duplicate {kind} name in {names}")
     return names

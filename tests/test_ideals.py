@@ -25,6 +25,7 @@ from fsplit import (
     ideal_sum,
     intersect,
     krull_dimension,
+    normalized_splitting_number,
     splitting_ideal,
     validate_reduced_gb,
 )
@@ -363,3 +364,22 @@ def test_complete_intersection_colon_is_fedders(case, p, e):
     Iq = frobenius_power(I, e)
     expected = buchberger(ideal_sum(Iq, ring.ideal(prod ** (q - 1))))
     assert colon_ideal(Iq, I).basis == expected.basis
+
+
+def test_elimination_variable_takes_no_name_from_the_ring():
+    # intersect's auxiliary variable must not collide with a ring variable or
+    # a transcendental, whatever they are called
+    def run(names):
+        field = RationalFunctionField(3, ("t'",))
+        ring = Ring(field, names)
+        a, b, c = ring.gens()
+        s = ring.constant(field.transcendental("t'"))
+        w = c - s * b
+        I = ring.ideal(a * b, b * w, a * w)
+        J = ring.ideal(a**2 + s * b, b * c)
+        gb_cap, gb_colon = intersect(I, J), colon_ideal(I, J)
+        assert gb_cap.ring == ring and gb_colon.ring == ring
+        lengths = [normalized_splitting_number(I, e).splitting_length for e in (1, 2)]
+        return gb_cap._terms, gb_colon._terms, lengths
+
+    assert run(("t_elim__", "t", "t_")) == run(("x", "y", "z"))

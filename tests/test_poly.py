@@ -12,7 +12,6 @@ from fsplit import (
     MonomialOrder,
     PrimeField,
     RationalFunctionField,
-    ReservedVariable,
     Ring,
     RingMismatch,
 )
@@ -22,7 +21,13 @@ from fsplit.poly import EXPONENT_LIMIT, guard_mask, pack, packed_overflow, unpac
 R2 = Ring(PrimeField(2), ("x", "y"))
 R5 = Ring(PrimeField(5), ("x", "y"))
 
-ORDERS = [LEX, GREVLEX, MonomialOrder.elimination(1), MonomialOrder.elimination(2)]
+ORDERS = [
+    LEX,
+    GREVLEX,
+    MonomialOrder.elimination(1),
+    MonomialOrder.elimination(2),
+    MonomialOrder.elimination(5),  # a block past the last variable: grevlex, shifted
+]
 exps3 = st.tuples(st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 1000))
 
 
@@ -110,11 +115,6 @@ def test_term_order_canonical():
     assert str(f) == "x*y + x + y + 1"
 
 
-def test_reserved_variable_rejected():
-    with pytest.raises(ReservedVariable):
-        Ring(PrimeField(2), ("x", "t_elim__"))
-
-
 def test_transcendental_variable_clash():
     from fsplit import DuplicateVariable
 
@@ -133,6 +133,32 @@ def test_elimination_order_blocks():
     # any monomial containing the first variable beats any that does not
     elim = MonomialOrder.elimination(1)
     assert elim.key((1, 0, 0)) > elim.key((0, 900, 900))
+    # a block covering every variable leaves grevlex, shifted past an empty rest
+    assert MonomialOrder.elimination(5).key((3, 1, 4)) == GREVLEX.key((3, 1, 4)) << 24
+
+
+@pytest.mark.parametrize(
+    "kind, block",
+    [("grevlex", 2), ("lex", 1), ("grevlex", 0.0), ("elim", 0), ("elim", -1), ("elim", 1.5),
+     ("elim", True), ("elim", "1"), ("deglex", 0)],
+)
+def test_order_rejects_a_block_it_cannot_use(kind, block):
+    # grevlex with a block would print as grevlex yet differ from GREVLEX,
+    # and a fractional elim block would fail only at its first key
+    with pytest.raises(ValueError):
+        MonomialOrder(kind, block)
+
+
+def _reference(order, exps):
+    """A tuple that compares as ``order`` does: lex, grevlex, or grevlex per block."""
+    def grevlex(block):
+        return (sum(block),) + tuple(-a for a in reversed(block))
+
+    if order.kind == "lex":
+        return tuple(exps)
+    if order.kind == "grevlex":
+        return grevlex(exps)
+    return grevlex(exps[: order.block]) + grevlex(exps[order.block :])
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
@@ -149,6 +175,18 @@ def test_order_axioms(order, u, v, w):
     # 1 is minimal
     if any(u):
         assert order.key((0, 0, 0)) < ku
+    # affine: multiplying by u shifts every key by the same amount
+    assert order.key(uw) - order.key(w) == ku - order.key((0, 0, 0))
+    # the packed key compares as the tuple reference does
+    assert (ku < kv) == (_reference(order, u) < _reference(order, v))
+
+
+@given(u=exps3)
+def test_elimination_key_of_a_t_free_monomial_is_a_shifted_grevlex_key(u):
+    # intersect builds elim(1) keys of t^a*x^m as t_a + (grevlex key of x^m)
+    elim = MonomialOrder.elimination(1)
+    t0 = elim.key((0, 0, 0, 0)) - GREVLEX.key((0, 0, 0))
+    assert elim.key((0,) + u) == t0 + GREVLEX.key(u)
 
 
 @given(u=exps3, v=exps3)

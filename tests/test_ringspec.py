@@ -9,7 +9,6 @@ from fsplit import (
     NonPrimeCharacteristic,
     ParseError,
     PrimeField,
-    ReservedVariable,
     Ring,
 )
 from fsplit.ringspec import parse_polynomial, parse_ring_spec
@@ -38,11 +37,6 @@ def test_duplicate_variable():
         parse_ring_spec("char=3; vars=x,x; ideal=x")
     with pytest.raises(DuplicateVariable):
         parse_ring_spec("char=3; vars=x; transcendentals=x; ideal=x")
-
-
-def test_reserved_name_rejected():
-    with pytest.raises(ReservedVariable):
-        parse_ring_spec("char=3; vars=t_elim__; ideal=0")
 
 
 def test_unknown_key_rejected():

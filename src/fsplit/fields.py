@@ -454,9 +454,17 @@ class RationalFunctionField(FieldDescriptor):
         p = self.characteristic
         if len(a.num) == len(a.den) == len(b.num) == len(b.den) == 1:
             ((u, c),), ((v, _),), ((w, d),), ((x, _),) = a.num, a.den, b.num, b.den
-            e = [i - j + k - l for i, j, k, l in zip(u, v, w, x)]
-            num, den = tuple(k if k > 0 else 0 for k in e), tuple(0 if k > 0 else -k for k in e)
-            return RatFunc(((num, c * d % p),), ((den, 1),))
+            # E = u - v + w - x, split into its positive and negative parts
+            num, den = [], []
+            for i, j, k, l in zip(u, v, w, x):
+                k += i - j - l
+                if k > 0:
+                    num.append(k)
+                    den.append(0)
+                else:
+                    num.append(0)
+                    den.append(-k)
+            return RatFunc(((tuple(num), c * d % p),), ((tuple(den), 1),))
         F = self._fp
         an, bd = _tp_cancel(a.num, b.den, F)
         bn, ad = _tp_cancel(b.num, a.den, F)

@@ -4,9 +4,11 @@ Pairs are handled as in Gebauer and Moeller (1988). When a new element h
 arrives, its pairs (g, h) go through criterion M (drop a pair whose lcm is
 a proper multiple of another new pair's lcm) and criterion F (one pair per
 lcm, and none when some pair with that lcm has coprime leading monomials);
-criterion B then drops each old pair (i, j) whose lcm lead(h) divides while
-lcm(i, h) and lcm(j, h) both differ from it. Elements whose leading monomial
-lead(h) divides stay as reducers but get no new pairs.
+criterion B then marks dead each old pair (i, j) whose lcm lead(h) divides
+while lcm(i, h) and lcm(j, h) both differ from it. Dead pairs stay in the
+pair heap and are skipped when popped, so the heap is never rebuilt; the
+fresh pairs are pushed onto it. Elements whose leading monomial lead(h)
+divides stay as reducers but get no new pairs.
 
 Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano and
 Traverso, 1991): smallest sugar degree first, ties broken by the lcm's key
@@ -15,9 +17,15 @@ their given order, reducers are scanned in insertion order, and the reduced
 basis is sorted by leading monomial. That fixed tie order makes the engine
 deterministic: identical inputs give byte-identical bases.
 
-The final interreduction reduces tails in ascending lead order. A lead that
-divides a tail term divides the tail's lcm, so ``_nf`` runs only on an element
-where a smaller kept lead that divides that lcm divides a tail term.
+Tails are lazy. Each input and each S-polynomial is reduced only until its
+leading term is irreducible (``_nf`` with ``head``); the criteria and the
+sugar see leads alone, so nothing in the pair loop needs a reduced tail.
+The final interreduction, ``_reduce_basis``, is the one place that reduces
+tails, once each, in ascending lead order. A lead that divides a tail term
+divides the tail's lcm, so ``_nf`` runs only on an element where a smaller
+kept lead that divides that lcm divides a tail term. A caller that keeps
+only the elements below a lead key (the t-free block of an elimination,
+see ``_Working``) has only those interreduced.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ from .poly import (
 # and a product a + s overflows iff (a + s) & G is nonzero. Packed order keys
 # are affine in the exponents, key(a + b) = key(a) + key(b) - key(0) (see
 # ``MonomialOrder.key``), so a reduction step shifts keys by (term key - lead
-# key) with one integer add and never calls the order's key function. The pair bookkeeping is packed too:
-# see ``_packed_lcm`` and ``_support``.
+# key) with one integer add and never calls the order's key function. The
+# pair bookkeeping is packed too: see ``_packed_lcm`` and ``_support``.
 
 
 def _internal(f: Polynomial, keyf) -> list:
@@ -71,42 +79,6 @@ def _to_poly(ring: Ring, order: MonomialOrder, terms: list) -> Polynomial:
     return ring.from_terms({unpack(m, n): c for _, m, c in terms})
 
 
-def _merge_sub(a: list, b: list, field) -> list:
-    """a - b for descending term lists."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif kb > ka:
-            out.append((kb, b[j][1], field.neg(b[j][2])))
-            j += 1
-        else:
-            c = field.sub(a[i][2], b[j][2])
-            if not field.is_zero(c):
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    for k in range(j, nb):
-        out.append((b[k][0], b[k][1], field.neg(b[k][2])))
-    return out
-
-
-def _shift(terms: list, shift: int, delta: int, guard: int) -> list:
-    """x^shift * terms for a packed shift whose keys move by delta; order is kept."""
-    out = []
-    for k, m, c in terms:
-        ms = m + shift
-        if ms & guard:
-            raise packed_overflow(m, shift, guard)
-        out.append((k + delta, ms, c))
-    return out
-
-
 def _divides(a, b) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -114,28 +86,64 @@ def _divides(a, b) -> bool:
     return True
 
 
-def _nf(terms: list, basis: list, leads: list, field, guard: int) -> list:
-    """Full normal form of a working term list against (basis, packed leads).
+def _nf(
+    terms: list, basis: list, leads: list, field, guard: int, head: bool = False, spair=None
+) -> list:
+    """Normal form of a working term list against (basis, packed leads).
+
+    Every reduction in the engine enters here: Buchberger's inputs and
+    S-polynomials, the final interreduction, ``normal_form``, and the
+    generator reductions of ``ideals.colon_ideal``.
+    With ``spair = (g, l, kl)`` the input is instead the S-polynomial
+    x^a*terms - x^b*g of two monic working forms at their packed lcm
+    l = lead(terms)*x^a = lead(g)*x^b, whose key is kl: both tails are shifted
+    straight into the reduction, and the cancelled leads are never built.
+    With ``head`` the reduction stops at the first irreducible term, so the
+    result has the lead of the full normal form, and its tail is left as
+    the reduction steps made it.
 
     Terms live in a dict keyed by packed order key, drained through a lazy
     max-heap, so each reduction step costs the reducer's length rather than
     the whole work list.
     """
-    if not terms or not basis:
+    if not basis:
         return list(terms)
     coeffs = {}
     exps_of = {}
-    heap = []
-    for k, e, c in terms:
-        coeffs[k] = c
-        exps_of[k] = e
-        heap.append(-k)
+    get = coeffs.get
+    fmul, fadd, fneg = field.mul, field.add, field.neg
+    if spair is None:
+        for k, e, c in terms:
+            coeffs[k] = c
+            exps_of[k] = e
+    else:
+        g, l, kl = spair
+        shift, delta = l - terms[0][1], kl - terms[0][0]
+        for k, e, c in terms[1:]:
+            m = e + shift
+            if m & guard:
+                raise packed_overflow(e, shift, guard)
+            nk = k + delta
+            coeffs[nk] = c
+            exps_of[nk] = m
+        fsub = field.sub
+        shift, delta = l - g[0][1], kl - g[0][0]
+        for k, e, c in g[1:]:
+            m = e + shift
+            if m & guard:
+                raise packed_overflow(e, shift, guard)
+            nk = k + delta
+            old = get(nk)
+            if old is None:
+                coeffs[nk] = fneg(c)
+                exps_of[nk] = m
+            else:
+                coeffs[nk] = fsub(old, c)
+    heap = [-k for k in coeffs]
     heapq.heapify(heap)
     out = []
     is_zero = field.is_zero
-    fmul, fadd, fneg = field.mul, field.add, field.neg
     zero = field.zero()
-    get = coeffs.get
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         k = -pop(heap)
@@ -165,6 +173,12 @@ def _nf(terms: list, basis: list, leads: list, field, guard: int) -> list:
                         coeffs[nk] = fadd(old, v)
                 break
         else:
+            if head:
+                # every key above k is cancelled; the tail is what is left below it
+                rest = coeffs.items()
+                out = [(kt, exps_of[kt], ct) for kt, ct in rest if kt < k and not is_zero(ct)]
+                out.sort(reverse=True)
+                return [(k, e, c)] + out
             out.append((k, e, c))
             coeffs[k] = zero
     return out
@@ -254,10 +268,17 @@ class ReducedGB:
 
 class _Working(NamedTuple):
     """Generators for ``buchberger`` in working form under the ring order:
-    (descending term list, total degree) pairs, none of them zero."""
+    (descending term list, total degree) pairs, none of them zero.
+
+    With a key ``bound``, the caller keeps only the basis elements whose lead
+    key lies below it, and these must form a Groebner basis of their own, as
+    the t-free block of an elimination does: only they are interreduced and
+    returned. Without one, the whole reduced basis is.
+    """
 
     ring: Ring
     gens: list
+    bound: int | None = None
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -280,12 +301,14 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
     ring = ideal.ring
     order = order or ring.order
     keyf = order.key
+    bound = None
     if isinstance(ideal, _Working):
-        gens = ideal.gens
+        gens, bound = ideal.gens, ideal.bound
     else:
         gens = [(_internal(g, keyf), g.total_degree()) for g in ideal.nonzero_generators()]
     nvars = ring.nvars
     guard = guard_mask(nvars)
+    low = guard >> 16  # the lowest bit of every field
     field = ring.field
 
     basis: list[list] = []
@@ -294,14 +317,17 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
     degrees: list[int] = []  # total degree of each lead
     sugar: list[int] = []
     active: list[int] = []  # elements that still get new pairs
-    # heap of (sugar, lcm key, i, j, packed lcm); every entry is a live pair
+    # heap of (sugar, lcm key, i, j, packed lcm); criterion B adds the pairs
+    # it drops to ``dead``, and the main loop skips them when it pops them
     pairs: list[tuple] = []
+    dead: set[tuple] = set()
+    push = heapq.heappush
 
     def add(terms: list, s: int) -> None:
         """Append ``terms`` made monic and run the Gebauer-Moller update."""
         h = len(basis)
         lh = terms[0][1]
-        sh = _support(lh, guard)
+        sh = ((lh | guard) - low) & guard  # _support(lh, guard)
         dh = sum(unpack(lh, nvars))
         basis.append(_monic(terms, field))
         packed.append(lh)
@@ -310,48 +336,60 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         sugar.append(s)
         # new pairs (g, h): criterion M drops a pair whose lcm is a proper
         # multiple of another new lcm; criterion F keeps one pair per lcm,
-        # and none when some pair with that lcm is coprime (it reduces to 0)
+        # and none when some pair with that lcm is coprime (it reduces to 0).
+        # Here and in criterion B, _packed_lcm(packed[g], lh, guard) is inlined.
         by_lcm: dict[int, list] = {}
         for g in active:
-            entry = by_lcm.setdefault(_packed_lcm(packed[g], lh, guard), [g, False])
+            lg = packed[g]
+            ge = ((lg | guard) - lh) & guard
+            l = lh ^ ((lg ^ lh) & (ge - (ge >> 16)))
+            entry = by_lcm.get(l)
+            if entry is None:
+                by_lcm[l] = entry = [g, False]
             if not supports[g] & sh:
                 entry[1] = True
-        fresh = []
+        # criterion B: h makes (i, j) redundant when lead(h) divides lcm(i, j)
+        # and lcm(i, h), lcm(j, h) are both proper divisors of it
+        for pr in pairs:
+            l = pr[4]
+            if ((l | guard) - lh) & guard == guard:
+                li = packed[pr[2]]
+                ge = ((li | guard) - lh) & guard
+                if lh ^ ((li ^ lh) & (ge - (ge >> 16))) != l:
+                    lj = packed[pr[3]]
+                    ge = ((lj | guard) - lh) & guard
+                    if lh ^ ((lj ^ lh) & (ge - (ge >> 16))) != l:
+                        dead.add(pr)
         for l in _minimalize(by_lcm, guard):
             g, coprime = by_lcm[l]
             if not coprime:
                 el = unpack(l, nvars)
                 dl = sum(el)
-                fresh.append((max(sugar[g] + dl - degrees[g], s + dl - dh), keyf(el), g, h, l))
-        # criterion B: h makes (i, j) redundant when lead(h) divides lcm(i, j)
-        # and lcm(i, h), lcm(j, h) are both proper divisors of it
-        kept = [
-            pr
-            for pr in pairs
-            if ((pr[4] | guard) - lh) & guard != guard
-            or _packed_lcm(packed[pr[2]], lh, guard) == pr[4]
-            or _packed_lcm(packed[pr[3]], lh, guard) == pr[4]
-        ]
-        kept.extend(fresh)
-        heapq.heapify(kept)
-        pairs[:] = kept
+                push(pairs, (max(sugar[g] + dl - degrees[g], s + dl - dh), keyf(el), g, h, l))
         # elements whose lead h divides stay as reducers but get no new pairs
         active[:] = [g for g in active if ((packed[g] | guard) - lh) & guard != guard]
         active.append(h)
 
+    # inputs and S-polynomials are reduced only until their lead is
+    # irreducible; _reduce_basis reduces the tails once, at the end
     for terms, d in gens:
-        t = _nf(_monic(terms, field), basis, packed, field, guard)
+        t = _nf(terms, basis, packed, field, guard, True)
         if t:
             add(t, d)
 
+    pop = heapq.heappop
     while pairs:
-        s, kl, i, j, pl = heapq.heappop(pairs)
-        a = _shift(basis[i], pl - packed[i], kl - basis[i][0][0], guard)
-        b = _shift(basis[j], pl - packed[j], kl - basis[j][0][0], guard)
-        r = _nf(_merge_sub(a, b, field), basis, packed, field, guard)
+        pr = pop(pairs)
+        if pr in dead:
+            dead.remove(pr)
+            continue
+        s, kl, i, j, l = pr
+        r = _nf(basis[i], basis, packed, field, guard, True, (basis[j], l, kl))
         if r:
             add(r, s)
 
+    if bound is not None:
+        basis = [t for t in basis if t[0][0] < bound]
     return _reduce_basis(ring, order, basis)
 
 

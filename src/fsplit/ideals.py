@@ -7,15 +7,16 @@ intersections with principal ideals followed by exact division, asserted as
 a corruption detector. Two facts keep this from repeating work, and both are
 exact:
 
-* The t-free elements of the reduced elim(1) basis G of t*I + (t-1)*J, with
-  t dropped, are the reduced grevlex basis of I cap J, so ``intersect`` runs
-  Buchberger once. By the elimination theorem (Cox, Little and O'Shea,
-  *Ideals, Varieties, and Algorithms*, sections 3.1 and 4.3) G cap S is a
-  Groebner basis of I cap J. Every t-term precedes every t-free term under
-  elim(1), so an element with a t-free lead is t-free, and on t-free
-  monomials elim(1) is grevlex. Each kept element is therefore monic under
-  grevlex, no term of it is divisible by another kept lead since G is
-  reduced, and G already lists them by ascending grevlex lead.
+* The t-free elements of any elim(1) Groebner basis G of t*I + (t-1)*J,
+  reduced or not, with t dropped, are a grevlex Groebner basis of I cap J:
+  by the elimination theorem (Cox, Little and O'Shea, *Ideals, Varieties,
+  and Algorithms*, sections 3.1 and 4.3) G cap S is a Groebner basis of
+  I cap J. Every t-term precedes every t-free term under elim(1), so an
+  element with a t-free lead is t-free, and on t-free monomials elim(1) is
+  grevlex. So ``intersect`` runs Buchberger once, with the key of t^1 as the
+  bound of its kept block: only the t-free elements are interreduced, since
+  only they can reduce a t-free tail, and the result, with t dropped, is the
+  reduced grevlex basis of I cap J.
 * (I : f) = (I : f + i) for every i in I, since h*f and h*(f + i) differ by
   h*i, which lies in I. So ``colon_ideal`` replaces each generator f of J by
   its normal form modulo the reduced grevlex basis of I, and skips an f that
@@ -33,7 +34,8 @@ Both operations stay in Buchberger's working form (``groebner``): descending
 ``(m << 17) | a``, and its elim(1) key is the grevlex key of x^m plus an
 offset that depends on a alone, since keys are affine (``MonomialOrder.key``).
 The t-free elements of G are those whose lead key lies below the offset of
-t^1; it projects them with ``m >> 17`` and by subtracting the offset of t^0.
+t^1, the bound it passes to Buchberger; it projects them with ``m >> 17``
+and by subtracting the offset of t^0.
 ``colon_ideal`` does the normal forms, the exact divisions, the
 interreduction and the running intersection on these lists too, so a
 Polynomial is built only when a caller reads ``ReducedGB.basis``.
@@ -101,9 +103,10 @@ def _generators(I) -> tuple:
 def intersect(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB) -> ReducedGB:
     """Reduced grevlex Groebner basis of I cap J in the original ring.
 
-    The t-free part of the reduced elim(1) basis of t*I + (t - 1)*J, with t
-    dropped, is that basis already (see the module docstring). Either ideal
-    may be a ReducedGB, which stands for its basis.
+    Buchberger on t*I + (t - 1)*J under elim(1) interreduces and returns
+    only the t-free block of its basis, which with t dropped is that basis
+    (see the module docstring). Either ideal may be a ReducedGB, which
+    stands for its basis.
     """
     if I.ring != J.ring:
         raise RingMismatch("intersection across different rings")
@@ -128,9 +131,10 @@ def intersect(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB
         )
         for g in _generators(J)
     ]
-    gb = buchberger(_Working(ext, gens))
-    # a lead below t1 is t-free, and so is its element, since t-terms come first
-    kept = [[(k - t0, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms if h[0][0] < t1]
+    # a lead below t1 is t-free, and so is its element, since t-terms come
+    # first: buchberger interreduces and returns only that block
+    gb = buchberger(_Working(ext, gens, t1))
+    kept = [[(k - t0, m >> _FIELD_BITS, c) for k, m, c in h] for h in gb._terms]
     return ReducedGB(ring, GREVLEX, kept)
 
 

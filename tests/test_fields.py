@@ -362,6 +362,20 @@ def test_mul_of_monomials_cancels_exponentwise():
     assert F3TT.mul(a, b) == RatFunc((((0, 2), 2),), (((1, 0), 1),))
 
 
+@pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
+@given(data=st.data())
+def test_mul_of_monomial_fractions_matches_the_general_path(p, m, data):
+    # four monomials take mul's exponentwise path; the reference multiplies
+    # out and cancels with one full gcd
+    field = RationalFunctionField(p, ("t1", "t2", "t3")[:m])
+    a, b = (
+        rf(field, dict(data.draw(tpolys(p, m, max_terms=1))), dict(data.draw(tpolys(p, m, 1))))
+        for _ in range(2)
+    )
+    assert len(a.num) == len(a.den) == len(b.num) == len(b.den) == 1
+    assert field.mul(a, b) == _reference(field, "mul", a, b)
+
+
 def test_inverse_rescales_a_non_monic_numerator():
     # ((2t + 1)/(t^2 + t + 1))^-1 = (3t^2 + 3t + 3)/(t + 3) over F_5
     F5T = RationalFunctionField(5, ("t",))

@@ -29,6 +29,8 @@ from fsplit import (
     splitting_ideal,
     validate_reduced_gb,
 )
+from fsplit.groebner import _internal
+from fsplit.ideals import _extended_ring
 from fsplit.splitting import _colon_multiplier
 from test_groebner import _function_field_coefficient
 
@@ -295,6 +297,63 @@ def test_intersect_basis_is_reduced_grevlex(p, transcendental, order):
         assert gb == buchberger(gb.presentation(), GREVLEX)
         gb_I, gb_J = buchberger(I), buchberger(J)
         assert all(ideal_member(g, gb_I) and ideal_member(g, gb_J) for g in gb.basis)
+
+
+@st.composite
+def intersection_cases(draw):
+    """I and J in two or three variables over F_2, F_3 or F_3(t); either may
+    be the zero or the unit ideal."""
+    field = draw(st.sampled_from(
+        [PrimeField(2), PrimeField(3), RationalFunctionField(3, ("t",))]
+    ))
+    n = draw(st.integers(2, 3))
+    ring = Ring(field, ("x", "y", "z")[:n])
+    p = field.characteristic
+    # F_3(t) coefficients grow fast in an elimination, so its inputs are smaller
+    max_terms, max_exp = (2, 2) if field.transcendentals else (3, 3)
+
+    def poly():
+        f = ring.zero()
+        for _ in range(draw(st.integers(1, max_terms))):
+            c = ring.from_int(draw(st.integers(1, p - 1)))
+            if field.transcendentals:
+                c = c * ring.constant(field.transcendental("t")) ** draw(st.integers(0, 2))
+            f = f + c * ring.monomial(draw(st.tuples(*[st.integers(0, max_exp)] * n)))
+        return f
+
+    def ideal():
+        kind = draw(st.sampled_from(["zero", "unit", "random", "random"]))
+        if kind == "zero":
+            return ring.ideal()
+        if kind == "unit":
+            return ring.ideal(poly(), ring.one())
+        return ring.ideal(*(poly() for _ in range(draw(st.integers(1, 2)))))
+
+    return ideal(), ideal()
+
+
+@given(intersection_cases())
+def test_intersect_equals_the_t_free_part_of_a_full_elimination(case):
+    # intersect interreduces only the t-free block of the elim(1) basis of
+    # t*I + (t - 1)*J. The reference runs the full Buchberger on that ideal,
+    # built as Polynomials, and projects the t-free part of its reduced basis.
+    I, J = case
+    ring = I.ring
+    ext = _extended_ring(ring)
+    t = ext.gens()[0]
+
+    def lift(f):
+        return ext.from_terms({(0,) + e: c for e, c in f.terms})
+
+    gens = [t * lift(f) for f in I.generators] + [(t - 1) * lift(g) for g in J.generators]
+    full = buchberger(ext.ideal(*gens))
+    validate_reduced_gb(full)
+    projected = [
+        ring.from_terms({e[1:]: c for e, c in g.terms})
+        for g, lead in zip(full.basis, full.lead_exponents)
+        if lead[0] == 0
+    ]
+    assert intersect(I, J)._terms == tuple(_internal(g, GREVLEX.key) for g in projected)
 
 
 @pytest.mark.parametrize("p, transcendental, order", RANDOM_RINGS)

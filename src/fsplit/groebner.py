@@ -8,7 +8,8 @@ criterion B then marks dead each old pair (i, j) whose lcm lead(h) divides
 while lcm(i, h) and lcm(j, h) both differ from it. Dead pairs stay in the
 pair heap and are skipped when popped, so the heap is never rebuilt; the
 fresh pairs are pushed onto it. Elements whose leading monomial lead(h)
-divides stay as reducers but get no new pairs.
+divides stay as reducers but get no new pairs. A pair's key and sugar
+degree are read off its packed lcm through affine weights (``_key_weights``).
 
 Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano and
 Traverso, 1991): smallest sugar degree first, ties broken by the lcm's key
@@ -53,7 +54,8 @@ from .poly import (
 # are affine in the exponents, key(a + b) = key(a) + key(b) - key(0) (see
 # ``MonomialOrder.key``), so a reduction step shifts keys by (term key - lead
 # key) with one integer add and never calls the order's key function. The
-# pair bookkeeping is packed too: see ``_packed_lcm`` and ``_support``.
+# pair bookkeeping is packed too: see ``_packed_lcm``, ``_support``, and
+# ``_key_degree`` for a pair's key and degree from its packed lcm.
 
 
 def _internal(f: Polynomial, keyf) -> list:
@@ -201,9 +203,31 @@ def _minimalize(gens, guard: int) -> tuple:
     out: list[int] = []
     for g in sorted(set(gens)):
         gg = g | guard
-        if not any((gg - h) & guard == guard for h in out):
+        for h in out:
+            if (gg - h) & guard == guard:
+                break
+        else:
             out.append(g)
     return tuple(out)
+
+
+def _key_weights(keyf, nvars: int) -> tuple:
+    """(key(0), [key(x_i) - key(0)]): keys are affine, so a monomial's key is
+    key(0) plus its exponents times these weights (see ``_key_degree``)."""
+    k0 = keyf((0,) * nvars)
+    return k0, [keyf(tuple(int(i == j) for j in range(nvars))) - k0 for i in range(nvars)]
+
+
+def _key_degree(m: int, k0: int, weights) -> tuple:
+    """(order key, total degree) of a packed monomial, from ``_key_weights``:
+    one walk over its fields, the degree with every weight 1."""
+    k, d = k0, 0
+    for w in weights:
+        a = m & 0xFFFF
+        k += a * w
+        d += a
+        m >>= 17
+    return k, d
 
 
 def _support(m: int, guard: int) -> int:
@@ -307,6 +331,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
     else:
         gens = [(_internal(g, keyf), g.total_degree()) for g in ideal.nonzero_generators()]
     nvars = ring.nvars
+    k0, weights = _key_weights(keyf, nvars)
     guard = guard_mask(nvars)
     low = guard >> 16  # the lowest bit of every field
     field = ring.field
@@ -328,7 +353,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
         h = len(basis)
         lh = terms[0][1]
         sh = ((lh | guard) - low) & guard  # _support(lh, guard)
-        dh = sum(unpack(lh, nvars))
+        dh = _key_degree(lh, k0, weights)[1]
         basis.append(_monic(terms, field))
         packed.append(lh)
         supports.append(sh)
@@ -360,12 +385,19 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
                     ge = ((lj | guard) - lh) & guard
                     if lh ^ ((lj ^ lh) & (ge - (ge >> 16))) != l:
                         dead.add(pr)
-        for l in _minimalize(by_lcm, guard):
-            g, coprime = by_lcm[l]
-            if not coprime:
-                el = unpack(l, nvars)
-                dl = sum(el)
-                push(pairs, (max(sugar[g] + dl - degrees[g], s + dl - dh), keyf(el), g, h, l))
+        # criterion M as in _minimalize, pushing each kept non-coprime lcm
+        kept: list[int] = []
+        for l in sorted(by_lcm):
+            lg = l | guard
+            for m in kept:
+                if (lg - m) & guard == guard:
+                    break
+            else:
+                kept.append(l)
+                g, coprime = by_lcm[l]
+                if not coprime:
+                    kl, dl = _key_degree(l, k0, weights)
+                    push(pairs, (max(sugar[g] + dl - degrees[g], s + dl - dh), kl, g, h, l))
         # elements whose lead h divides stay as reducers but get no new pairs
         active[:] = [g for g in active if ((packed[g] | guard) - lh) & guard != guard]
         active.append(h)

@@ -95,7 +95,8 @@ class MonomialOrder:
         degree, and no field reaches into the next while exponents stay below
         2^16. So the elim(1) key of t^a*x^m is the grevlex key of x^m plus a
         constant that depends on a alone. ``groebner``'s reduction steps,
-        ``ideals._divide`` and ``ideals.intersect`` rely on this.
+        ``buchberger``'s pair keys, ``ideals._divide`` and ``ideals.intersect``
+        rely on this.
         """
         if self.kind == "grevlex":
             return _grevlex_key(exps)

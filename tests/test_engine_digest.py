@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+import fsplit.groebner
+import fsplit.ideals
 from fsplit import (
     GREVLEX,
     LEX,
@@ -33,6 +35,12 @@ ELIM = MonomialOrder.elimination(1)
 NAMES = ("w", "x", "y", "z")
 
 DIGEST = "f37785c6662a01db883393f7e9b2d01d6db1ff374a7751987e4c9c3d5ac5dd35"
+
+# Calls of groebner._nf (inputs, S-pairs, interreduction and colon_ideal's
+# generator reductions) over the corpus, recorded before the pair update read
+# its keys from packed lcms. Unique reduced bases cannot show a changed
+# criterion or pair order; the number of reductions can.
+NF_CALLS = 3728
 
 
 def _coefficient(field, rng):
@@ -104,3 +112,18 @@ def digest(results) -> str:
 
 def test_engine_bases_are_byte_identical_to_the_recorded_digest():
     assert digest(corpus()) == DIGEST
+
+
+def test_engine_reduces_the_recorded_number_of_times(monkeypatch):
+    calls = 0
+    nf = fsplit.groebner._nf
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return nf(*args, **kwargs)
+
+    monkeypatch.setattr(fsplit.groebner, "_nf", counted)
+    monkeypatch.setattr(fsplit.ideals, "_nf", counted)
+    corpus()
+    assert calls == NF_CALLS

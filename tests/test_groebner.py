@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsplit import (
     GREVLEX,
@@ -21,7 +21,15 @@ from fsplit import (
     s_polynomial,
     validate_reduced_gb,
 )
-from fsplit.groebner import _lcm, _packed_lcm, _support, interreduce
+from fsplit.groebner import (
+    _key_degree,
+    _key_weights,
+    _lcm,
+    _minimalize,
+    _packed_lcm,
+    _support,
+    interreduce,
+)
 from fsplit.ideals import intersect
 from fsplit.poly import guard_mask, pack, unpack
 from fsplit.ringspec import parse_polynomial
@@ -304,6 +312,45 @@ def test_packed_lcm_and_coprimality_match_tuples(ab):
     assert _packed_lcm(pa, pb, G) == _packed_lcm(pb, pa, G)
     coprime = not any(x and y for x, y in zip(a, b))
     assert (not _support(pa, G) & _support(pb, G)) == coprime
+
+
+# small exponents, so that divisibility, duplicates and the unit monomial are common
+_small_monomials = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple), max_size=12,
+))
+
+
+def _tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@given(_small_monomials)
+@example([(1, 2), (0, 0), (1, 2), (3, 0)])  # a duplicate and the unit monomial 0
+@example([])
+def test_minimalize_matches_a_tuple_reference(gens):
+    n = len(gens[0]) if gens else 1
+    G = guard_mask(n)
+    got = _minimalize([pack(e) for e in gens], G)
+    # brute force: the distinct exponents that no other given exponent divides
+    want = {e for e in gens if not any(f != e and _tuple_divides(f, e) for f in gens)}
+    assert sorted(unpack(m, n) for m in got) == sorted(want)
+    assert list(got) == sorted(got)
+    for i, a in enumerate(got):
+        for b in got[i + 1:]:
+            assert not _tuple_divides(unpack(a, n), unpack(b, n))
+    assert all(any(_tuple_divides(unpack(m, n), e) for m in got) for e in gens)
+
+
+@pytest.mark.parametrize(
+    "order", [LEX, GREVLEX, MonomialOrder.elimination(1), MonomialOrder.elimination(2)], ids=repr
+)
+@given(st.integers(3, 6).flatmap(lambda n: st.lists(_packed_field, min_size=n, max_size=n)))
+def test_key_and_degree_from_a_packed_monomial(order, exps):
+    # fields near 2^16 - 1 would show a carry from one field into the next
+    n = len(exps)
+    k0, weights = _key_weights(order.key, n)
+    m = pack(exps)
+    assert _key_degree(m, k0, weights) == (order.key(unpack(m, n)), sum(unpack(m, n)))
 
 
 def _parse_ideal(ring, *texts):

@@ -6,51 +6,60 @@ exponent values between generator thresholds, so lengths like q^n come out
 in closed form instead of q^n iterations. Explicit monomial enumeration is
 kept separately for callers that need the actual basis.
 
-The count runs on packed monomials (``poly.pack``): ``m & 0xFFFF`` is the
-exponent of the first remaining variable, ``m >> 17`` drops it, ``0 < m <=
-0xFFFF`` is a pure power of it, and in ascending order divisors come first.
+Everything but ``standard_monomials`` reads ``ReducedGB.leads``, the packed
+leading monomials (``poly.pack``): ``m & 0xFFFF`` is the exponent of the
+first remaining variable, ``m >> 17`` drops it, ``0 < m <= 0xFFFF`` is a pure
+power of it, and in ascending order divisors come first. A lead's
+``_support`` holds the guard bit of each variable it involves.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
-from .groebner import ReducedGB, _minimalize
-from .poly import _FIELD_BITS, _MASK, guard_mask, pack
+from .groebner import ReducedGB, _support
+from .poly import _FIELD_BITS, _MASK, guard_mask
 
 
 def is_artinian(gb: ReducedGB) -> bool:
     """True iff the leading-term ideal contains a pure power of every variable."""
-    n = gb.ring.nvars
-    leads = gb.lead_exponents
-    if any(not any(e) for e in leads):
-        return True  # unit ideal
-    for i in range(n):
-        if not any(e[i] > 0 and all(x == 0 for j, x in enumerate(e) if j != i) for e in leads):
-            return False
-    return True
+    guard = guard_mask(gb.ring.nvars)
+    pure = {s for s in (_support(m, guard) for m in gb.leads) if not s & (s - 1)}
+    return 0 in pure or sum(pure) == guard  # 0: the unit ideal
 
 
-def _pure_cap(gens, i: int):
-    caps = [e[i] for e in gens if e[i] > 0 and all(x == 0 for j, x in enumerate(e) if j != i)]
-    return min(caps) if caps else None
+def _minimalize(gens, guard: int) -> tuple:
+    """The minimal packed monomials of ``gens``, ascending; a proper divisor is a
+    smaller integer, so each is tested only against the minimal ones before it."""
+    out: list[int] = []
+    for g in sorted(set(gens)):
+        gg = g | guard
+        for h in out:
+            if (gg - h) & guard == guard:
+                break
+        else:
+            out.append(g)
+    return tuple(out)
 
 
-def _count(depth: int, gens: tuple, guard: int, memo: dict) -> int:
-    """Standard monomials avoiding every generator, over the variables after the first ``depth``.
+def _count(gens: tuple, nvars: int, guard: int, memo: dict) -> int:
+    """Standard monomials avoiding every generator, over the last ``nvars`` variables.
 
-    Empty ``gens`` means no constraint is live, which only happens once all
-    generators involved dropped variables; the single empty exponent counts.
+    Each level drops the first variable from every generator. With no
+    variable left, only the empty exponent remains.
     """
-    if not gens:
-        return 1
-    if gens[0] == 0:
+    if gens and gens[0] == 0:
         return 0  # a generator divides everything
-    hit = memo.get((depth, gens))
+    if not nvars:
+        return 1
+    # pure powers of the first variable are the smallest generators
+    if not gens or gens[0] > _MASK:
+        raise NotArtinian("the leading-term ideal misses a pure power")
+    hit = memo.get((nvars, gens))
     if hit is not None:
         return hit
-    cap = gens[0]  # pure powers of the first variable are the smallest
-    if cap > _MASK:
-        raise NotArtinian("leading-term ideal misses a pure power")
+    cap = gens[0]
     # the rest of each generator, by its first exponent; thresholds ascend and
     # the active set only grows, so the minimal set of the previous threshold
     # plus the newly included generators has the same minimal set as all of them
@@ -64,35 +73,35 @@ def _count(depth: int, gens: tuple, guard: int, memo: dict) -> int:
     for idx, t in enumerate(thresholds):
         hi = thresholds[idx + 1] if idx + 1 < len(thresholds) else cap
         active = _minimalize(active + tuple(fresh[t]), guard)
-        total += (hi - t) * _count(depth + 1, active, guard, memo)
-    memo[(depth, gens)] = total
+        total += (hi - t) * _count(active, nvars - 1, guard, memo)
+    memo[(nvars, gens)] = total
     return total
 
 
 def length(gb: ReducedGB) -> int:
     """Vector-space dimension of the quotient by gb's ideal over the coefficient field."""
-    if not is_artinian(gb):
-        raise NotArtinian(f"quotient by {gb!r} has infinite length")
-    guard = guard_mask(gb.ring.nvars)
-    return _count(0, _minimalize(map(pack, gb.lead_exponents), guard), guard, {})
+    n = gb.ring.nvars
+    guard = guard_mask(n)
+    return _count(_minimalize(gb.leads, guard), n, guard, {})
 
 
 def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> tuple:
-    """The staircase as exponent tuples, ascending under the basis order."""
-    if not is_artinian(gb):
-        raise NotArtinian(f"quotient by {gb!r} has infinite length")
-    n = gb.ring.nvars
-    leads = gb.lead_exponents
+    """The staircase as exponent tuples, ascending under the basis order.
+
+    A reference for ``length``: it reads the leads off the Polynomials and
+    enumerates the box of pure-power caps.
+    """
+    leads = [g.leading_term(gb.order)[0] for g in gb.basis]
     if any(not any(e) for e in leads):
-        return ()
-    if n == 0:
-        return ((),)
+        return ()  # unit ideal
+    n = gb.ring.nvars
     caps = []
-    box = 1
     for i in range(n):
-        cap = _pure_cap(leads, i)
-        caps.append(cap)
-        box *= cap
+        pure = [e[i] for e in leads if e[i] and not any(e[:i] + e[i + 1:])]
+        if not pure:
+            raise NotArtinian(f"quotient by {gb!r} has infinite length")
+        caps.append(min(pure))
+    box = prod(caps)
     if box > budget:
         raise CostGuardExceeded(f"staircase box {box} exceeds budget {budget}")
     out = []
@@ -109,34 +118,25 @@ def standard_monomials(gb: ReducedGB, budget: int = DEFAULT_BUDGET) -> tuple:
             walk(prefix + [a])
 
     walk([])
-    keyf = gb.order.key
-    out.sort(key=keyf)
+    out.sort(key=gb.order.key)
     return tuple(out)
 
 
 def krull_dimension(gb: ReducedGB) -> int:
     """Krull dimension of the quotient, via independent variable subsets.
 
-    Returns the size of the largest variable subset touched by no leading
-    term; the unit ideal (empty variety) comes out as -1.
+    Returns the size of the largest variable subset (a set of guard bits)
+    that holds no lead's support; the unit ideal (empty variety) comes out
+    as -1.
     """
-    n = gb.ring.nvars
-    supports = []
-    for e in gb.lead_exponents:
-        mask = 0
-        for i, x in enumerate(e):
-            if x:
-                mask |= 1 << i
-        if mask == 0:
-            return -1  # unit ideal
-        supports.append(mask)
-    if not supports:
-        return n
-    best = 0
-    for subset in range(1 << n):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        if all(s & ~subset for s in supports):
+    guard = guard_mask(gb.ring.nvars)
+    supports = {_support(m, guard) for m in gb.leads}
+    if 0 in supports:
+        return -1  # unit ideal
+    best, free = 0, guard
+    while free:  # every nonempty subset of the guard bits
+        size = free.bit_count()
+        if size > best and all(s & ~free for s in supports):
             best = size
+        free = (free - 1) & guard
     return best

@@ -141,6 +141,8 @@ def _parse_prime_token(spec: RingSpec, token: str) -> CoordinatePrime:
     names = tuple(v.strip() for v in token.split(","))
     if not set(names) <= set(spec.ring.variables):
         raise _UsageError(f"prime {token!r} is neither a named prime nor ring variables")
+    if len(set(names)) != len(names):
+        raise _UsageError(f"prime {token!r} repeats a variable")
     return CoordinatePrime(names)
 
 

@@ -197,20 +197,6 @@ def _packed_lcm(a: int, b: int, guard: int) -> int:
     return b ^ ((a ^ b) & (ge - (ge >> 16)))
 
 
-def _minimalize(gens, guard: int) -> tuple:
-    """The minimal packed monomials of ``gens``, ascending; a proper divisor is a
-    smaller integer, so each is tested only against the minimal ones before it."""
-    out: list[int] = []
-    for g in sorted(set(gens)):
-        gg = g | guard
-        for h in out:
-            if (gg - h) & guard == guard:
-                break
-        else:
-            out.append(g)
-    return tuple(out)
-
-
 def _key_weights(keyf, nvars: int) -> tuple:
     """(key(0), [key(x_i) - key(0)]): keys are affine, so a monomial's key is
     key(0) plus its exponents times these weights (see ``_key_degree``)."""
@@ -241,10 +227,10 @@ class ReducedGB:
 
     Its state is ``terms``, the working form under ``order``: one descending
     (key, packed monomial, coeff) list per element, as ``_reduce_basis``
-    leaves it. ``basis`` (Polynomials) and ``lead_exponents`` are built from
-    it on first read and kept, so a basis that only feeds further engine steps
-    never builds a Polynomial. A reduced basis of Polynomials comes from
-    ``buchberger`` or ``interreduce``.
+    leaves it. ``leads`` (their packed leading monomials) and ``basis``
+    (Polynomials) are built from it on first read and kept, so a basis that
+    only feeds further engine steps never builds either. A reduced basis of
+    Polynomials comes from ``buchberger`` or ``interreduce``.
     """
 
     __slots__ = ("ring", "order", "_terms", "_basis", "_leads")
@@ -263,14 +249,13 @@ class ReducedGB:
         return self._basis
 
     @property
-    def lead_exponents(self) -> tuple:
+    def leads(self) -> tuple:
         if self._leads is None:
-            n = self.ring.nvars
-            self._leads = tuple(unpack(t[0][1], n) for t in self._terms)
+            self._leads = tuple(t[0][1] for t in self._terms)
         return self._leads
 
     def is_unit_ideal(self) -> bool:
-        return len(self._terms) == 1 and self._terms[0][0][1] == 0
+        return self.leads == (0,)
 
     def presentation(self) -> IdealPresentation:
         return IdealPresentation(self.ring, self.basis)
@@ -385,7 +370,7 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
                     ge = ((lj | guard) - lh) & guard
                     if lh ^ ((lj ^ lh) & (ge - (ge >> 16))) != l:
                         dead.add(pr)
-        # criterion M as in _minimalize, pushing each kept non-coprime lcm
+        # criterion M as in artinian._minimalize, pushing each kept non-coprime lcm
         kept: list[int] = []
         for l in sorted(by_lcm):
             lg = l | guard
@@ -477,8 +462,7 @@ def normal_form(f: Polynomial, gb: ReducedGB) -> Polynomial:
     basis = gb._terms
     if not basis or f.is_zero():
         return f
-    leads = [g[0][1] for g in basis]
-    r = _nf(_internal(f, gb.order.key), basis, leads, gb.ring.field, guard_mask(gb.ring.nvars))
+    r = _nf(_internal(f, gb.order.key), basis, gb.leads, gb.ring.field, guard_mask(gb.ring.nvars))
     return _to_poly(gb.ring, gb.order, r)
 
 
@@ -490,11 +474,12 @@ def ideal_member(f: Polynomial, gb: ReducedGB) -> bool:
 def validate_reduced_gb(gb: ReducedGB) -> None:
     """Engine health check: reducedness, monicity, and the S-polynomial certificate."""
     field = gb.ring.field
+    leads = [g.leading_term(gb.order) for g in gb.basis]
     for i, g in enumerate(gb.basis):
-        if g.leading_term(gb.order)[1] != field.one():
+        if leads[i][1] != field.one():
             raise InternalInconsistency(f"basis element {i} is not monic")
         for e, _ in g.terms:
-            for j, le in enumerate(gb.lead_exponents):
+            for j, (le, _) in enumerate(leads):
                 if j != i and _divides(le, e):
                     raise InternalInconsistency(
                         f"term of basis element {i} divisible by lead of {j}"

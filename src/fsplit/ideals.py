@@ -209,10 +209,10 @@ def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | Reduced
     if not jgens:
         raise ZeroDivisorColon("colon by the zero ideal")
     if isinstance(I, ReducedGB) and I.order == GREVLEX:
-        basis = I._terms
+        gb = I
     else:
-        basis = buchberger(I.presentation() if isinstance(I, ReducedGB) else I, GREVLEX)._terms
-    leads = [g[0][1] for g in basis]
+        gb = buchberger(I.presentation() if isinstance(I, ReducedGB) else I, GREVLEX)
+    basis, leads = gb._terms, gb.leads
     guard = guard_mask(ring.nvars)
     result: ReducedGB | None = None
     for f in jgens:

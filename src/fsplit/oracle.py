@@ -98,8 +98,13 @@ def oracle_length_mod_bracket(I: IdealPresentation, e: int, budget: int = DEFAUL
     _require_prime_field(ring)
     p = ring.field.characteristic
     q, n = p**e, ring.nvars
+    gens = I.nonzero_generators()
+    if not any(max(x, default=0) < q for g in gens for x, _ in g.terms):
+        return q**n  # no generator term lies inside the box, so no row does
+    if q**n > budget:  # a row exists, so the matrix has at least q^n entries
+        raise BudgetExceeded(f"a row of {q**n} columns exceeds budget {budget}")
     box = _box_index(q, n)
-    rows = [row for g in I.nonzero_generators() for m in box if (row := _row(g, m, box))]
+    rows = [row for g in gens for m in box if (row := _row(g, m, box))]
     return q**n - len(_rref_mod_p(rows, q**n, p, budget))
 
 

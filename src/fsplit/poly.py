@@ -6,7 +6,7 @@ compare via packed integer keys so term sorting and Buchberger's pair
 selection ride on native int comparison.
 
 The engines (``groebner``, ``ideals.intersect``, ``ideals.colon_ideal``,
-``ideals.divide_exact``, ``artinian.length``) pack a monomial into one
+``ideals.divide_exact``, ``artinian``) pack a monomial into one
 integer instead, as in Bachmann and Schoenemann, "Monomial representations
 for Groebner bases computations" (ISSAC 1998):
 variable i owns bits [17i, 17i + 17), 16 value bits plus a guard bit on top,
@@ -20,7 +20,7 @@ the guard bits of all fields:
 * when b divides a, the quotient is ``a - b``; lcm and coprimality use the
   same borrows (``groebner._packed_lcm`` and ``groebner._support``).
 
-Polynomial terms and ``ReducedGB.lead_exponents`` stay tuples: terms are
+``ReducedGB.leads`` are packed too. Polynomial terms stay tuples: terms are
 (exponents, coefficient) pairs with nonzero coefficients, sorted ascending by a
 rank, a key that puts larger monomials first (``MonomialOrder.rank``). The
 term functions ``add_terms``, ``mul_terms``, ``scale_terms``, ``format_terms``

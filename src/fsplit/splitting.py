@@ -114,12 +114,13 @@ class SignatureEstimate:
 def _guard(ring: Ring, e: int, budget: int) -> int:
     if e < 0:
         raise ValueError("e must be nonnegative")
-    q = ring.field.characteristic**e
-    if q**ring.nvars > budget:
+    p, en = ring.field.characteristic, e * ring.nvars
+    # p^(e*n) >= 2^(e*n) > budget once e*n reaches its bit length: no huge power
+    if en >= budget.bit_length() or p**en > budget:
         raise CostGuardExceeded(
-            f"q^n = {q**ring.nvars} exceeds the standard-monomial budget {budget}"
+            f"q^n = {p}^{en} exceeds the standard-monomial budget {budget}"
         )
-    return q
+    return p**e
 
 
 def _origin_dimension(I: IdealPresentation) -> int:

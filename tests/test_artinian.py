@@ -44,6 +44,17 @@ def test_length_examples():
 def test_length_requires_artinian():
     with pytest.raises(NotArtinian):
         length(buchberger(R5.ideal(X * Y)))
+    # x^2 is a pure power of the first variable; none of y is a lead
+    with pytest.raises(NotArtinian):
+        length(buchberger(R5.ideal(X**2)))
+
+
+def test_zero_ideal_of_a_zero_variable_ring():
+    R0 = Ring(PrimeField(5), ())
+    gb = buchberger(R0.ideal())
+    assert is_artinian(gb)
+    assert length(gb) == 1 and standard_monomials(gb) == ((),)
+    assert krull_dimension(gb) == 0
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 2), (2, 3, 2), (3, 2, 2), (5, 2, 3), (5, 3, 3)])
@@ -112,7 +123,8 @@ def test_krull_dimension_principal_random():
             for r in range(4):
                 for subset in itertools.combinations(range(3), r):
                     ok = True
-                    for e in gb.lead_exponents:
+                    for g in gb.basis:
+                        e = g.leading_term(gb.order)[0]
                         support = {i for i, a in enumerate(e) if a}
                         if support <= set(subset):
                             ok = False
@@ -125,23 +137,47 @@ def test_krull_dimension_principal_random():
 
 
 @st.composite
-def artinian_monomial_ideals(draw):
-    # a pure power of every variable, optionally mixed monomials, optionally 1
-    n = draw(st.integers(1, 4))
-    caps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    gens = [tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(caps)]
+def monomial_ideals(draw):
+    # a pure power of each variable, dropped one time in four, optionally
+    # mixed monomials, optionally 1
+    n = draw(st.integers(0, 4))
+    gens = []
+    for i in range(n):
+        cap = draw(st.integers(1, 5))
+        if draw(st.integers(0, 3)):
+            gens.append(tuple(cap if j == i else 0 for j in range(n)))
     gens += draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=4))
     if draw(st.booleans()) and draw(st.booleans()):
         gens.append((0,) * n)
-    return n, caps, gens
+    return n, gens
 
 
-@given(artinian_monomial_ideals())
+@given(monomial_ideals())
 def test_packed_length_counts_the_staircase(case):
-    n, caps, gens = case
+    # is_artinian, length and krull_dimension read packed leads; the reference
+    # reads the generator tuples, whose ideal is its own leading-term ideal
+    n, gens = case
     ring = Ring(PrimeField(3), ("x", "y", "z", "w")[:n])
     gb = buchberger(ring.ideal(*(ring.monomial(e) for e in gens)))
-    box = itertools.product(*(range(c) for c in caps))
+    unit = (0,) * n in gens
+    pure = [[g[i] for g in gens if g[i] and not any(g[:i] + g[i + 1:])] for i in range(n)]
+    artinian = unit or all(pure)
+    supports = [{i for i, a in enumerate(g) if a} for g in gens]
+    dim = -1 if unit else max(
+        r
+        for r in range(n + 1)
+        for free in itertools.combinations(range(n), r)
+        if not any(s <= set(free) for s in supports)
+    )
+    assert is_artinian(gb) == artinian
+    assert krull_dimension(gb) == dim
+    if not artinian:
+        with pytest.raises(NotArtinian):
+            length(gb)
+        with pytest.raises(NotArtinian):
+            standard_monomials(gb)
+        return
+    box = () if unit else itertools.product(*(range(min(c)) for c in pure))
     brute = sum(
         1 for m in box if not any(all(a <= b for a, b in zip(g, m)) for g in gens)
     )

@@ -182,6 +182,19 @@ def test_budget_env_exit_3(files, capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("se", ()), ("gorenstein", ()), ("probe", ("--primes", "x,y", "--thresholds", "0"))],
+)
+def test_huge_e_is_a_budget_refusal(files, capsys, monkeypatch, command, flags):
+    # q^n = 2^10000: refused by its bit length, never printed in full
+    monkeypatch.delenv("FSPLIT_BUDGET", raising=False)
+    code, out, err = run(capsys, command, files["node2"], "--e", "5000", *flags)
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["fsplit: budget: q^n = 2^10000 exceeds the "
+                                "standard-monomial budget 1000000"]
+
+
 def test_budget_flag_beats_env(files, capsys, monkeypatch):
     monkeypatch.setenv("FSPLIT_BUDGET", "10")
     code, out, _ = run(capsys, "se", files["node2"], "--e", "3", "--budget", "10000",
@@ -266,8 +279,10 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
         (("--primes", "x|x,w"), "'x,w'"),
         (("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
         (("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
+        (("--primes", "x,x,y"), "'x,x,y' repeats a variable"),
     ],
-    ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain"],
+    ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain",
+         "repeated-variable"],
 )
 def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, flags, needle):
     code, out, err = run(

@@ -350,8 +350,8 @@ def test_intersect_equals_the_t_free_part_of_a_full_elimination(case):
     validate_reduced_gb(full)
     projected = [
         ring.from_terms({e[1:]: c for e, c in g.terms})
-        for g, lead in zip(full.basis, full.lead_exponents)
-        if lead[0] == 0
+        for g in full.basis
+        if g.leading_term(full.order)[0][0] == 0
     ]
     assert intersect(I, J)._terms == tuple(_internal(g, GREVLEX.key) for g in projected)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,17 @@ def test_budget():
     x, y = R2.gens()
     with pytest.raises(BudgetExceeded):
         oracle_length_mod_bracket(R2.ideal(x * y), 3, budget=10)
+    # a generator term inside the 2^24-monomial box makes a row of 2^24
+    # columns, already over a budget of 1: refused before the box is built
+    R4 = Ring(PrimeField(2), ("a", "b", "c", "d"))
+    a, b, c, d = R4.gens()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        oracle_length_mod_bracket(R4.ideal(a * d - b * c), 6, budget=1)
+    # with no generator term inside it, the whole box is standard: no row, no refusal
+    assert oracle_length_mod_bracket(R4.ideal(a**64, b**70 * c), 6, budget=1) == 2**24
+    assert oracle_length_mod_bracket(R4.ideal(), 6, budget=1) == 2**24
+    assert time.perf_counter() - start < 0.5
 
 
 def test_budget_caps_the_dense_shape():

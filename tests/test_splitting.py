@@ -392,6 +392,16 @@ def test_cost_guard_partial_results():
     )
 
 
+def test_cost_guard_refuses_huge_e_without_the_power():
+    # q^n = 2^(3 * 10^6) has far more digits than Python converts to str;
+    # the guard refuses by bit length and names the power as p^(e*n)
+    R = Ring(PrimeField(2), ("x", "y", "z"))
+    x, y, z = R.gens()
+    with pytest.raises(CostGuardExceeded) as info:
+        normalized_splitting_number(R.ideal(x * y - z**3), 10**6)
+    assert str(info.value) == "q^n = 2^3000000 exceeds the standard-monomial budget 1000000"
+
+
 def test_report_json_roundtrip():
     rep = normalized_splitting_number(R2.ideal(R2.var("x") * R2.var("y")), 1)
     obj = rep.to_json_obj()

@@ -1,6 +1,7 @@
 """Command-line surface: parse ring-spec files, dispatch, emit JSON reports.
 
-Exit codes: 0 success, 1 usage, 2 mathematical precondition failure,
+Exit codes: 0 success, 1 usage (including a flag value that the ring-file
+grammar refuses), 2 a bad ring file or a mathematical precondition failure,
 3 budget exceeded. All reports carry "schema": "fsplit/1"; a timestamp is
 included unless --no-timestamp is given, so identical inputs and flags
 produce byte-identical output with the flag set.
@@ -9,6 +10,7 @@ produce byte-identical output with the flag set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -17,13 +19,15 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, CostGuardExceeded, FsplitError, MissingFlag
-from .localization import (
-    CoordinatePrime,
-    PrimeChain,
-    check_localization_monotonicity,
-    semicontinuity_scan,
+from .localization import check_localization_monotonicity, semicontinuity_scan
+from .ringspec import (
+    RingSpec,
+    parse_chain,
+    parse_polynomial,
+    parse_polynomials,
+    parse_prime,
+    parse_ring_spec,
 )
-from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (
     f_signature_sequence,
     gorenstein_splitting_number,
@@ -66,19 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="localization and semicontinuity scan")
     common(p_probe)
     p_probe.add_argument("--primes", required=True,
-                         help="pipe-separated coordinate primes, e.g. 'x|x,z|x,y,z' (0 = zero prime)")
+                         help="pipe-separated primes, each as in a file's 'prime', e.g. 'x|x,z|0'")
     p_probe.add_argument("--e", type=int, required=True)
     p_probe.add_argument("--thresholds", required=True,
                          help="comma-separated rationals, e.g. '0,1/2,3/4,1'")
     p_probe.add_argument("--chains", default=None,
-                         help="pipe-separated chains (names from the file or 'x<x,y<x,y,z'); "
-                              "runs the monotonicity check, which needs equidimensional = true")
+                         help="pipe-separated chains, each as in a file's 'chain', e.g. "
+                              "'C1|x<x,y'; runs the monotonicity check, which needs "
+                              "equidimensional = true")
 
     p_gor = sub.add_parser("gorenstein", help="splitting number via a system of parameters")
     common(p_gor)
     p_gor.add_argument("--e", type=int, required=True)
     p_gor.add_argument("--sop", default=None,
-                       help="comma-separated system of parameters (default: file sop)")
+                       help="system of parameters as a file's 'sop' takes it (default: file sop)")
     p_gor.add_argument("--socle", default=None,
                        help="socle generator lift (default: file socle hint, else computed)")
 
@@ -115,13 +120,6 @@ def _load(args) -> RingSpec:
         return parse_ring_spec(handle.read())
 
 
-def _emit(args, payload: dict) -> None:
-    if not args.no_timestamp:
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _ring_summary(spec: RingSpec) -> dict:
     return {
         "characteristic": spec.ring.field.characteristic,
@@ -131,64 +129,40 @@ def _ring_summary(spec: RingSpec) -> dict:
     }
 
 
-def _parse_prime_token(spec: RingSpec, token: str) -> CoordinatePrime:
-    """A named prime, ``0``/empty for the zero prime, or ring variables."""
-    token = token.strip()
-    if token in spec.primes:
-        return spec.primes[token]
-    if token in ("0", ""):
-        return CoordinatePrime(())
-    names = tuple(v.strip() for v in token.split(","))
-    if not set(names) <= set(spec.ring.variables):
-        raise _UsageError(f"prime {token!r} is neither a named prime nor ring variables")
-    if len(set(names)) != len(names):
-        raise _UsageError(f"prime {token!r} repeats a variable")
-    return CoordinatePrime(names)
-
-
-def _parse_chain_token(spec: RingSpec, token: str) -> PrimeChain:
-    token = token.strip()
-    if token in spec.chains:
-        return spec.chains[token]
-    primes = tuple(_parse_prime_token(spec, part) for part in token.split("<"))
+@contextlib.contextmanager
+def _flag(name: str):
+    """Parse a flag's value with ``ringspec``; a value it refuses is a usage error."""
     try:
-        return PrimeChain(primes)
+        yield
     except FsplitError as exc:
-        raise _UsageError(f"chain {token!r}: {exc}") from None
+        raise _UsageError(f"{name}: {exc}") from None
 
 
-def _cmd_se(args) -> None:
-    spec = _load(args)
-    budget = _budget(args)
+def _cmd_se(args, spec: RingSpec, budget: int) -> dict:
     if args.e is not None:
-        report = normalized_splitting_number(spec.ideal, args.e, budget)
-        payload = {"schema": SCHEMA, "command": "se", "ring": _ring_summary(spec)}
-        payload.update(report.to_json_obj())
-    else:
-        estimate = f_signature_sequence(spec.ideal, args.emax, budget)
-        payload = {"schema": SCHEMA, "command": "se", "ring": _ring_summary(spec)}
-        payload.update(estimate.to_json_obj())
-    _emit(args, payload)
+        return normalized_splitting_number(spec.ideal, args.e, budget).to_json_obj()
+    return f_signature_sequence(spec.ideal, args.emax, budget).to_json_obj()
 
 
-def _cmd_probe(args) -> None:
-    spec = _load(args)
-    budget = _budget(args)
-    primes = [_parse_prime_token(spec, tok) for tok in args.primes.split("|")]
+def _cmd_probe(args, spec: RingSpec, budget: int) -> dict:
+    with _flag("--primes"):
+        primes = [parse_prime(spec.ring, tok, spec.primes) for tok in args.primes.split("|")]
     try:
         thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
     chains = None
     if args.chains is not None:
-        chains = [_parse_chain_token(spec, token) for token in args.chains.split("|")]
+        with _flag("--chains"):
+            chains = [
+                parse_chain(spec.ring, tok, spec.primes, spec.chains)
+                for tok in args.chains.split("|")
+            ]
         if not spec.equidimensional:
             raise MissingFlag(
                 "monotonicity checks need 'equidimensional = true' in the ring file"
             )
-    report = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget)
-    payload = {"schema": SCHEMA, "command": "probe", "ring": _ring_summary(spec)}
-    payload.update(report.to_json_obj())
+    payload = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget).to_json_obj()
     if chains is not None:
         results = [
             check_localization_monotonicity(
@@ -198,36 +172,19 @@ def _cmd_probe(args) -> None:
         ]
         payload["monotonicity"] = results
         payload["passed"] = payload["passed"] and all(r["monotone"] for r in results)
-    _emit(args, payload)
+    return payload
 
 
-def _cmd_gorenstein(args) -> None:
-    spec = _load(args)
-    budget = _budget(args)
+def _cmd_gorenstein(args, spec: RingSpec, budget: int) -> dict:
+    sop, socle = spec.sop or (), spec.socle
     if args.sop is not None:
-        sop = tuple(
-            parse_polynomial(spec.ring, chunk)
-            for chunk in args.sop.split(",")
-            if chunk.strip()
-        )
-    elif spec.sop is not None:
-        sop = spec.sop
-    else:
-        sop = ()
-    socle = None
+        with _flag("--sop"):
+            sop = parse_polynomials(spec.ring, args.sop)
     if args.socle is not None:
-        socle = parse_polynomial(spec.ring, args.socle)
-    elif spec.socle is not None:
-        socle = spec.socle
+        with _flag("--socle"):
+            socle = parse_polynomial(spec.ring, args.socle)
     report = gorenstein_splitting_number(spec.ideal, sop, args.e, socle, budget)
-    payload = {
-        "schema": SCHEMA,
-        "command": "gorenstein",
-        "ring": _ring_summary(spec),
-        "sop": [str(f) for f in sop],
-    }
-    payload.update(report.to_json_obj())
-    _emit(args, payload)
+    return {"sop": [str(f) for f in sop], **report.to_json_obj()}
 
 
 _DISPATCH = {
@@ -245,7 +202,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_exponents(args)
-        _DISPATCH[args.command](args)
+        spec = _load(args)
+        budget = _budget(args)
+        payload = {"schema": SCHEMA, "command": args.command, "ring": _ring_summary(spec)}
+        payload.update(_DISPATCH[args.command](args, spec, budget))
+        if not args.no_timestamp:
+            payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     except (BudgetExceeded, CostGuardExceeded) as exc:
         sys.stderr.write(f"fsplit: budget: {exc}\n")
         return 3

@@ -8,7 +8,8 @@ main path and to pin derived fixture values. Simplicity over speed:
   form, reducing each new row with ``_reduce``. A row space has exactly one
   such form, so ranks, pivots and null-space bases do not depend on row order;
 - the budget caps each matrix's dense shape, rows times columns, before any
-  elimination starts.
+  elimination starts, and the box's q^n monomials before the box is built,
+  once a generator has a term inside it (``_start``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,23 @@ from .fields import PrimeField
 from .poly import IdealPresentation
 
 
-def _require_prime_field(ring):
-    if not isinstance(ring.field, PrimeField):
+def _start(I: IdealPresentation, e: int, budget: int):
+    """(p, q, n, nonzero generators, whether a generator term lies in [0, q)^n).
+
+    With such a term, q^n > budget refuses before the box is enumerated; q^n is
+    named by its exponent, never computed past the budget.
+    """
+    if not isinstance(I, IdealPresentation):
+        raise TypeError(f"expected an IdealPresentation, not {type(I).__name__}")
+    if not isinstance(I.ring.field, PrimeField):
         raise FieldMismatch("the oracle only supports F_p coefficients")
+    p = I.ring.field.characteristic
+    q, n = p**e, I.ring.nvars
+    gens = I.nonzero_generators()
+    inside = any(max(x, default=0) < q for g in gens for x, _ in g.terms)
+    if inside and (e * n >= budget.bit_length() or q**n > budget):
+        raise BudgetExceeded(f"the box of {p}^{e * n} monomials exceeds budget {budget}")
+    return p, q, n, gens, inside
 
 
 def _row(g, mono, index) -> dict:
@@ -92,17 +107,9 @@ def _box_index(q: int, n: int) -> dict:
 
 def oracle_length_mod_bracket(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
     """lambda(S / (I + n^[q])) as q^n minus the rank of all truncated multiples."""
-    if not isinstance(I, IdealPresentation):
-        raise TypeError(f"expected an IdealPresentation, not {type(I).__name__}")
-    ring = I.ring
-    _require_prime_field(ring)
-    p = ring.field.characteristic
-    q, n = p**e, ring.nvars
-    gens = I.nonzero_generators()
-    if not any(max(x, default=0) < q for g in gens for x, _ in g.terms):
+    p, q, n, gens, inside = _start(I, e, budget)
+    if not inside:
         return q**n  # no generator term lies inside the box, so no row does
-    if q**n > budget:  # a row exists, so the matrix has at least q^n entries
-        raise BudgetExceeded(f"a row of {q**n} columns exceeds budget {budget}")
     box = _box_index(q, n)
     rows = [row for g in gens for m in box if (row := _row(g, m, box))]
     return q**n - len(_rref_mod_p(rows, q**n, p, budget))
@@ -137,13 +144,8 @@ def oracle_dual_splitting_length(
     all i} can be cut out by linear conditions against an echelon basis of the
     graded pieces of I^[q]; anything of degree above n(q-1) dies in S/n^[q].
     """
-    ring = I.ring
-    _require_prime_field(ring)
+    p, q, n, gens, _ = _start(I, e, budget)
     degs = _check_homogeneous(I)
-    p = ring.field.characteristic
-    q = p**e
-    n = ring.nvars
-    gens = I.nonzero_generators()
     if not gens:
         return q**n
     powers = [g.frobenius(e) for g in gens]

@@ -9,21 +9,25 @@ semicolons, with ``#`` comments. Recognized keys:
     ideal = y^2 - x^3, x*y            # comma-separated generators; 0 or empty for (0)
     equidimensional = true            # optional flags, default false
     connected = true
-    prime NAME = x, y                 # named coordinate primes; "0" for the zero prime
-    chain NAME = P1 < P2 < P3         # named chains of named primes
+    prime NAME = x, y                 # named coordinate primes (parse_prime)
+    chain NAME = P1 < P2 < P3         # named chains (parse_chain)
     sop = x + y                       # optional system-of-parameters hint
     socle = x                         # optional socle generator hint
 
 Polynomial expressions support + - * ^, integer coefficients (reduced mod p),
-parentheses, and unary minus; identifiers are ring variables or
-transcendentals. Unknown keys are rejected.
+parentheses, and unary minus, nested at most MAX_NESTING deep; identifiers
+are ring variables or transcendentals. Unknown keys are rejected.
+
+``parse_prime``, ``parse_chain`` and ``parse_polynomials`` read one value
+each; the statements above and the CLI's ``--primes``, ``--chains`` and
+``--sop`` flags all go through them, so a flag takes exactly what a file does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import DuplicateVariable, ParseError
+from .errors import DuplicateVariable, FsplitError, ParseError
 from .fields import PrimeField, RationalFunctionField, check_characteristic
 from .localization import CoordinatePrime, PrimeChain
 from .poly import GREVLEX, IdealPresentation, Polynomial, Ring
@@ -40,6 +44,10 @@ class RingSpec:
     sop: tuple | None = None
     socle: Polynomial | None = None
 
+
+# Parentheses and unary minus signs: each level costs the descent up to four
+# Python frames, so this stays well inside the default recursion limit.
+MAX_NESTING = 100
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -64,7 +72,10 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
-                self.toks.append(("int", int(text[i:j]), line, col))
+                try:
+                    self.toks.append(("int", int(text[i:j]), line, col))
+                except ValueError:  # past Python's limit on int-from-str digits
+                    raise ParseError(f"integer of {j - i} digits is too long", line, col) from None
                 i = j
             elif ch in _IDENT_START:
                 j = i
@@ -75,6 +86,7 @@ class _Tokens:
             else:
                 raise ParseError(f"unexpected character {ch!r}", line, col)
         self.pos = 0
+        self.depth = 0
         self.line = line
         self.endcol = col0 + len(text)
 
@@ -127,8 +139,19 @@ def _parse_factor(ring: Ring, toks: _Tokens) -> Polynomial:
 def _parse_atom(ring: Ring, toks: _Tokens) -> Polynomial:
     tok = toks.next()
     kind, value, line, col = tok
-    if kind == "-":
-        return -_parse_factor(ring, toks)
+    if kind in ("-", "("):
+        toks.depth += 1
+        if toks.depth > MAX_NESTING:
+            raise ParseError(f"more than {MAX_NESTING} nested parentheses or signs", line, col)
+        if kind == "-":
+            inner = -_parse_factor(ring, toks)
+        else:
+            inner = _parse_expr(ring, toks)
+            closing = toks.next()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", closing[2], closing[3])
+        toks.depth -= 1
+        return inner
     if kind == "int":
         return ring.from_int(value)
     if kind == "ident":
@@ -137,12 +160,6 @@ def _parse_atom(ring: Ring, toks: _Tokens) -> Polynomial:
         if value in ring.field.transcendentals:
             return ring.constant(ring.field.transcendental(value))
         raise ParseError(f"unknown name {value!r}", line, col)
-    if kind == "(":
-        inner = _parse_expr(ring, toks)
-        closing = toks.next()
-        if closing[0] != ")":
-            raise ParseError("expected ')'", closing[2], closing[3])
-        return inner
     raise ParseError(f"unexpected token {value!r}", line, col)
 
 
@@ -156,21 +173,54 @@ def parse_polynomial(ring: Ring, text: str, line: int = 1, col0: int = 1) -> Pol
     return poly
 
 
-def _split_top_level(text: str):
-    """Split on commas outside parentheses, keeping offsets."""
-    parts = []
-    depth = 0
-    start = 0
+def parse_polynomials(ring: Ring, text: str, line: int = 1, col0: int = 1) -> tuple:
+    """The polynomials of a list split at top-level commas; empty entries are skipped."""
+    chunks, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            parts.append((text[start:i], start))
+            chunks.append((start, text[start:i]))
             start = i + 1
-    parts.append((text[start:], start))
-    return parts
+    chunks.append((start, text[start:]))
+    return tuple(
+        parse_polynomial(ring, chunk, line, col0 + offset)
+        for offset, chunk in chunks
+        if chunk.strip()
+    )
+
+
+def parse_prime(
+    ring: Ring, text: str, primes: dict, line: int = 0, col: int = 0
+) -> CoordinatePrime:
+    """A named prime, ``0`` or empty for the zero prime, or distinct ring variables."""
+    text = text.strip()
+    if text in primes:
+        return primes[text]
+    if text in ("0", ""):
+        return CoordinatePrime(())
+    names = tuple(v.strip() for v in text.split(","))
+    if not set(names) <= set(ring.variables):
+        raise ParseError(f"prime {text!r} is neither a named prime nor ring variables", line, col)
+    if len(set(names)) != len(names):
+        raise DuplicateVariable(f"prime {text!r} repeats a variable")
+    return CoordinatePrime(names)
+
+
+def parse_chain(
+    ring: Ring, text: str, primes: dict, chains: dict, line: int = 0, col: int = 0
+) -> PrimeChain:
+    """A named chain, or primes (as ``parse_prime`` reads them) joined by ``<``."""
+    text = text.strip()
+    if text in chains:
+        return chains[text]
+    links = tuple(parse_prime(ring, part, primes, line, col) for part in text.split("<"))
+    try:
+        return PrimeChain(links)
+    except FsplitError as exc:  # not strictly increasing
+        raise ParseError(f"chain {text!r}: {exc}", line, col) from None
 
 
 def _statements(text: str):
@@ -184,7 +234,7 @@ def _statements(text: str):
                 if "=" not in stmt:
                     raise ParseError("expected 'key = value'", lineno, offset + 1)
                 key, value = stmt.split("=", 1)
-                col = offset + piece.index("=") + 2
+                col = offset + piece.index("=") + 2 + len(value) - len(value.lstrip())
                 yield key.strip(), value.strip(), lineno, col
             offset += len(piece) + 1
 
@@ -272,55 +322,23 @@ def parse_ring_spec(text: str) -> RingSpec:
     field = RationalFunctionField(char, transcendentals) if transcendentals else PrimeField(char)
     ring = Ring(field, vars_, GREVLEX)
 
-    def parse_poly_list(value, lineno, col):
-        polys = []
-        for chunk, off in _split_top_level(value):
-            chunk_stripped = chunk.strip()
-            if not chunk_stripped:
-                continue
-            polys.append(parse_polynomial(ring, chunk, lineno, col + off))
-        return polys
-
-    if "ideal" in raw:
-        value, lineno, col = raw["ideal"]
-        gens = [g for g in parse_poly_list(value, lineno, col) if not g.is_zero()]
-    else:
-        gens = []
-    ideal = IdealPresentation(ring, gens)
+    gens = parse_polynomials(ring, *raw["ideal"]) if "ideal" in raw else ()
+    ideal = IdealPresentation(ring, [g for g in gens if not g.is_zero()])
 
     primes: dict = {}
     for name, value, lineno, col in prime_stmts:
         if name in primes:
             raise ParseError(f"duplicate prime name {name!r}", lineno)
-        if value.strip() in ("0", ""):
-            subset: list = []
-        else:
-            subset = _names(value, lineno, "prime variable")
-            for v in subset:
-                if v not in ring.variables:
-                    raise ParseError(f"{v!r} is not a ring variable", lineno)
-        primes[name] = CoordinatePrime(tuple(subset))
+        primes[name] = parse_prime(ring, value, primes, lineno, col)
 
     chains: dict = {}
     for name, value, lineno, col in chain_stmts:
         if name in chains:
             raise ParseError(f"duplicate chain name {name!r}", lineno)
-        links = []
-        for part in value.split("<"):
-            pname = part.strip()
-            if pname not in primes:
-                raise ParseError(f"chain references unknown prime {pname!r}", lineno)
-            links.append(primes[pname])
-        chains[name] = PrimeChain(tuple(links))
+        chains[name] = parse_chain(ring, value, primes, chains, lineno, col)
 
-    sop = None
-    if "sop" in raw:
-        value, lineno, col = raw["sop"]
-        sop = tuple(parse_poly_list(value, lineno, col))
-    socle = None
-    if "socle" in raw:
-        value, lineno, col = raw["socle"]
-        socle = parse_polynomial(ring, value, lineno, col)
+    sop = parse_polynomials(ring, *raw["sop"]) if "sop" in raw else None
+    socle = parse_polynomial(ring, *raw["socle"]) if "socle" in raw else None
 
     return RingSpec(
         ring=ring,

@@ -112,13 +112,15 @@ class SignatureEstimate:
 
 
 def _guard(ring: Ring, e: int, budget: int) -> int:
+    """q = p^e; refuses q^n over the budget, or q itself when n = 0 (reports print q, a_e)."""
     if e < 0:
         raise ValueError("e must be nonnegative")
-    p, en = ring.field.characteristic, e * ring.nvars
+    n = ring.nvars
+    p, en = ring.field.characteristic, e * max(n, 1)
     # p^(e*n) >= 2^(e*n) > budget once e*n reaches its bit length: no huge power
     if en >= budget.bit_length() or p**en > budget:
         raise CostGuardExceeded(
-            f"q^n = {p}^{en} exceeds the standard-monomial budget {budget}"
+            f"{'q^n' if n else 'q'} = {p}^{en} exceeds the standard-monomial budget {budget}"
         )
     return p**e
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fsplit import FsplitError
 from fsplit.cli import _build_parser, main
+from fsplit.ringspec import parse_ring_spec
 
 NODE2 = "char = 2\nvars = x, y\nideal = x*y\nsop = x + y\n"
 NODE3 = """\
@@ -310,3 +317,149 @@ def test_successive_calls_share_one_parser(files, capsys):
     assert [run(capsys, *argv)[:2] for argv in calls] == alone
     assert [code for code, _ in alone] == [1, 0, 0, 0]
     assert _build_parser.cache_info().misses == 1
+
+
+def test_zero_prime_huge_e_is_a_budget_refusal(files, capsys, monkeypatch):
+    # no variable is left at the zero prime, so q^n = 1; q = 3^10000 itself
+    # is refused rather than printed
+    monkeypatch.delenv("FSPLIT_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, "probe", files["zero"], "--primes", "0", "--e", "10000", "--thresholds", "0"
+    )
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["fsplit: budget: q = 3^10000 exceeds the "
+                                "standard-monomial budget 1000000"]
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (("--sop", "x+w"), "--sop: line 1, column 3: unknown name 'w'"),
+        (("--sop", "(x, y)"), "--sop: line 1, column 3: unexpected character ','"),
+        (("--sop=" + "(" * 260 + "x" + ")" * 260,), "--sop: line 1, column 101: more than 100"),
+        (("--socle", "x*"), "--socle: line 1, column 3: unexpected end"),
+    ],
+    ids=["unknown-name", "comma-in-parentheses", "deep-nesting", "socle"],
+)
+def test_gorenstein_bad_polynomial_flags_are_usage_errors(files, capsys, flags, needle):
+    code, out, err = run(capsys, "gorenstein", files["node2"], "--e", "1", *flags)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert err.startswith(f"fsplit: error: {needle}")
+
+
+def test_deep_nesting_in_a_ring_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "nest.ring"
+    path.write_text("char = 2\nvars = x, y\nideal = " + "(" * 260 + "x" + ")" * 260 + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "se", str(path), "--e", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["fsplit: error: line 3, column 109: more than 100 nested "
+                                "parentheses or signs"]
+
+
+# -- one grammar: a flag value and the same value in a ring file ---------------
+
+GRAMMAR_BASE = """\
+char = 2
+vars = x, y, z
+ideal = 0
+equidimensional = true
+prime Px = x
+prime Pxz = x, z
+chain C = Px < Pxz
+"""
+
+_prime_texts = st.one_of(
+    st.sampled_from(["Px", "Pxz", "0", "", " 0 ", "Pq", "C"]),
+    st.builds(
+        lambda names, sep: sep.join(names),
+        st.lists(st.sampled_from(["x", "y", "z", "w", "x y", "1x", "", "Px", "0"]),
+                 min_size=1, max_size=4),
+        st.sampled_from([",", ", ", " , "]),
+    ),
+)
+_chain_texts = st.one_of(
+    st.sampled_from(["C", "Cq"]),
+    st.builds(" < ".join, st.lists(_prime_texts, min_size=1, max_size=3)),
+    # decreasing
+    st.sampled_from(["x,y,z < x,y", "Pxz < Px", "x < 0"]),
+)
+
+
+def _nested(text, depth, kind):
+    return {"paren": "(" * depth + text + ")" * depth, "minus": "-" * depth + text}[kind]
+
+
+_atoms = st.sampled_from(["x", "y", "z", "1", "0", "2*x", "x^2", "t", "x^99999", "x+", ")("])
+_expressions = st.builds(
+    _nested,
+    st.builds(lambda a, op, b: f"{a} {op} {b}", _atoms, st.sampled_from("+-*"), _atoms),
+    st.one_of(st.integers(0, 3), st.sampled_from([99, 100, 101, 260, 1000])),
+    st.sampled_from(["paren", "minus"]),
+)
+_polynomial_lists = st.one_of(
+    st.sampled_from(["x, y, z", "(x), -(y), z^1", "x + y, y, z*1, "]),
+    st.builds(
+        lambda polys, wrap: ("({})" if wrap else "{}").format(", ".join(polys)),
+        st.lists(_expressions, max_size=3),
+        st.booleans(),
+    ),
+)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flag_and_file_agree(line, flag_argv, file_argv, flag):
+    """One value as a flag and as a ring-file statement: the same result, or both refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base, stated = Path(tmp) / "base.ring", Path(tmp) / "stated.ring"
+        base.write_text(GRAMMAR_BASE, encoding="utf-8")
+        stated.write_text(GRAMMAR_BASE + line + "\n", encoding="utf-8")
+        by_flag = _run_quietly([*flag_argv[:1], str(base), *flag_argv[1:]])
+        by_file = _run_quietly([*file_argv[:1], str(stated), *file_argv[1:]])
+    for code, out, err in (by_flag, by_file):
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+        else:
+            assert json.loads(out)["schema"] == "fsplit/1"
+    if by_flag[0] == 1:
+        # refused by the grammar: a usage error as a flag, a bad ring file as a statement
+        assert by_flag[2].startswith(f"fsplit: error: {flag}: ")
+        assert by_file[0] == 2
+        with pytest.raises(FsplitError):
+            parse_ring_spec(GRAMMAR_BASE + line)
+    else:
+        assert by_flag == by_file
+
+
+@given(_prime_texts, st.sampled_from(["0", "1", "10000"]))
+def test_a_prime_flag_and_a_prime_statement_agree(text, e):
+    scan = ["--e", e, "--thresholds", "0", "--no-timestamp"]
+    _flag_and_file_agree(
+        f"prime Q = {text}", ["probe", f"--primes={text}", *scan],
+        ["probe", "--primes=Q", *scan], "--primes",
+    )
+
+
+@given(_chain_texts)
+def test_a_chain_flag_and_a_chain_statement_agree(text):
+    scan = ["--primes=Px", "--e", "1", "--thresholds", "0", "--no-timestamp"]
+    _flag_and_file_agree(
+        f"chain Q = {text}", ["probe", f"--chains={text}", *scan],
+        ["probe", "--chains=Q", *scan], "--chains",
+    )
+
+
+@given(_polynomial_lists)
+def test_a_sop_flag_and_a_sop_statement_agree(text):
+    call = ["--e", "1", "--budget", "1000", "--no-timestamp"]
+    _flag_and_file_agree(
+        f"sop = {text}", ["gorenstein", f"--sop={text}", *call], ["gorenstein", *call], "--sop",
+    )

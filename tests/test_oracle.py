@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 import fsplit
 from fsplit import BudgetExceeded, FieldMismatch, NotHomogeneous, PrimeField, Ring
 from fsplit import RationalFunctionField
+from fsplit import oracle
 from fsplit.oracle import oracle_dual_splitting_length, oracle_length_mod_bracket
 
 R2 = Ring(PrimeField(2), ("x", "y"))
@@ -72,6 +74,20 @@ def test_budget():
     assert oracle_length_mod_bracket(R4.ideal(a**64, b**70 * c), 6, budget=1) == 2**24
     assert oracle_length_mod_bracket(R4.ideal(), 6, budget=1) == 2**24
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("check", [oracle_length_mod_bracket, oracle_dual_splitting_length])
+@pytest.mark.parametrize("e, box", [(5, "2^20"), (10**4, "2^40000")])
+def test_budget_refuses_before_the_box_is_built(monkeypatch, check, e, box):
+    # ad - bc over F_2: a generator term lies inside the box, whose 2^(4e)
+    # monomials are over a budget of 1, so neither oracle enumerates it
+    calls = []
+    monkeypatch.setattr(oracle, "_box_index", lambda q, n: calls.append((q, n)))
+    R4 = Ring(PrimeField(2), ("a", "b", "c", "d"))
+    a, b, c, d = R4.gens()
+    with pytest.raises(BudgetExceeded, match=re.escape(f"box of {box} monomials exceeds budget 1")):
+        check(R4.ideal(a * d - b * c), e, budget=1)
+    assert calls == []
 
 
 def test_budget_caps_the_dense_shape():

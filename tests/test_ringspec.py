@@ -5,13 +5,21 @@ from __future__ import annotations
 import pytest
 
 from fsplit import (
+    CoordinatePrime,
     DuplicateVariable,
     NonPrimeCharacteristic,
     ParseError,
     PrimeField,
     Ring,
 )
-from fsplit.ringspec import parse_polynomial, parse_ring_spec
+from fsplit.ringspec import (
+    MAX_NESTING,
+    parse_chain,
+    parse_polynomial,
+    parse_polynomials,
+    parse_prime,
+    parse_ring_spec,
+)
 
 
 def test_node_file():
@@ -139,3 +147,90 @@ def test_missing_required_keys():
         parse_ring_spec("vars=x; ideal=x")
     with pytest.raises(ParseError):
         parse_ring_spec("char=3; ideal=x")
+
+
+R3 = Ring(PrimeField(2), ("x", "y", "z"))
+NAMED = {"Px": CoordinatePrime(("x",)), "Pxz": CoordinatePrime(("x", "z"))}
+
+
+def test_parse_prime_forms():
+    assert parse_prime(R3, " Pxz ", NAMED) is NAMED["Pxz"]
+    assert parse_prime(R3, "0", NAMED) == parse_prime(R3, " ", NAMED) == CoordinatePrime(())
+    assert parse_prime(R3, "z , x", NAMED) == CoordinatePrime(("z", "x"))
+
+
+@pytest.mark.parametrize(
+    "text, error, needle",
+    [
+        ("Pq", ParseError, "'Pq' is neither"),
+        ("x,w", ParseError, "'x,w' is neither"),
+        ("x y", ParseError, "'x y' is neither"),
+        ("x,,y", ParseError, "'x,,y' is neither"),
+        ("x, y, x", DuplicateVariable, "'x, y, x' repeats a variable"),
+    ],
+    ids=["unknown-name", "unknown-variable", "not-an-identifier", "empty-entry", "repeat"],
+)
+def test_parse_prime_refusals(text, error, needle):
+    with pytest.raises(error, match=needle):
+        parse_prime(R3, text, NAMED)
+
+
+def test_parse_chain_forms():
+    named = parse_chain(R3, "Px < x,z", NAMED, {})
+    assert named.primes == (NAMED["Px"], NAMED["Pxz"])
+    assert parse_chain(R3, " C ", NAMED, {"C": named}) is named
+    assert parse_chain(R3, "0 < x < x,y,z", NAMED, {}).primes[0] == CoordinatePrime(())
+    with pytest.raises(ParseError, match="'Pxz < x': chain is not strictly increasing"):
+        parse_chain(R3, "Pxz < x", NAMED, {})
+    with pytest.raises(ParseError, match="'x < x'"):
+        parse_chain(R3, "x < x", NAMED, {})
+    with pytest.raises(ParseError, match="'Pq'"):
+        parse_chain(R3, "x < Pq", NAMED, {})
+
+
+def test_file_primes_and_chains_take_the_flag_grammar():
+    spec = parse_ring_spec(
+        "char=2; vars=x,y,z; ideal=x*y; prime Px = x; prime Q = Px; chain C = x < x, y"
+    )
+    assert spec.primes["Q"] == spec.primes["Px"]
+    assert [P.variables for P in spec.chains["C"].primes] == [("x",), ("x", "y")]
+    with pytest.raises(ParseError) as info:
+        parse_ring_spec("char=2; vars=x,y\nchain C = x,y < x")
+    assert info.value.line == 2 and "not strictly increasing" in str(info.value)
+    with pytest.raises(DuplicateVariable):
+        parse_ring_spec("char=2; vars=x,y; prime P = x, x, y")
+
+
+def test_parse_polynomials_splits_at_top_level_commas():
+    x, y, z = R3.gens()
+    got = parse_polynomials(R3, " (x + y)^2 , , z*(x+y), 0")
+    assert got == ((x + y) ** 2, z * (x + y), R3.zero())
+    assert parse_polynomials(R3, "") == ()
+    with pytest.raises(ParseError) as info:
+        parse_polynomials(R3, "x, (y, z)", line=4, col0=7)
+    assert (info.value.line, info.value.column) == (4, 12)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 260, 1000])
+def test_deep_nesting_is_a_parse_error(depth):
+    text = "(" * depth + "x" + ")" * depth
+    with pytest.raises(ParseError, match="nested"):
+        parse_polynomial(R3, text)
+    with pytest.raises(ParseError, match="nested"):
+        parse_polynomial(R3, "-" * depth + "x")
+    with pytest.raises(ParseError, match="nested") as info:
+        parse_ring_spec(f"char=2; vars=x\nideal = x^2, {text}")
+    assert info.value.line == 2
+
+
+def test_nesting_up_to_the_bound_parses():
+    x = R3.var("x")
+    depth = MAX_NESTING
+    assert parse_polynomial(R3, "(" * depth + "x" + ")" * depth) == x
+    assert parse_polynomial(R3, "-" * depth + "x") == x  # -1 = 1 in characteristic 2
+    assert parse_polynomial(R3, "-(" * (depth // 2) + "x" + ")" * (depth // 2)) == x
+
+
+def test_overlong_integer_is_a_parse_error():
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_polynomial(R3, "x + " + "1" * 5000)

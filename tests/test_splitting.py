@@ -455,6 +455,16 @@ def test_zero_variable_ring(field, e):
     assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
 
 
+def test_cost_guard_bounds_q_without_variables():
+    # q^0 = 1 at every e, but q and a_e are reported: q itself stays in budget
+    I = Ring(RationalFunctionField(3, ("t",)), ()).ideal()
+    assert normalized_splitting_number(I, 12).q == 3**12
+    with pytest.raises(CostGuardExceeded, match=r"^q = 3\^13 exceeds"):
+        normalized_splitting_number(I, 13)
+    with pytest.raises(CostGuardExceeded, match=r"^q = 3\^10000 exceeds"):
+        normalized_splitting_number(I, 10**4)
+
+
 @st.composite
 def homogeneous_cases(draw):
     """(p, n, generators as {exponents: coefficient}): 1-2 forms of degree 1-2."""

@@ -49,19 +49,14 @@ from .groebner import (
 )
 from .ideals import (
     colon_ideal,
-    divide_exact,
     frobenius_power,
     ideal_sum,
     intersect,
 )
 from .localization import (
     CoordinatePrime,
-    KunzResult,
-    MonotonicityResult,
     PrimeChain,
     SemicontinuityReport,
-    check_kunz_constancy,
-    check_localization_monotonicity,
     localize_at_coordinate_prime,
     s_e_at_prime,
     semicontinuity_scan,

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, CostGuardExceeded, FsplitError, MissingFlag
-from .localization import check_localization_monotonicity, semicontinuity_scan
+from .localization import semicontinuity_scan
 from .ringspec import (
     RingSpec,
     parse_chain,
@@ -42,8 +42,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with one stderr line, without the usage block."""
+
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -151,7 +152,7 @@ def _cmd_probe(args, spec: RingSpec, budget: int) -> dict:
         thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
-    chains = None
+    chains = ()
     if args.chains is not None:
         with _flag("--chains"):
             chains = [
@@ -162,17 +163,9 @@ def _cmd_probe(args, spec: RingSpec, budget: int) -> dict:
             raise MissingFlag(
                 "monotonicity checks need 'equidimensional = true' in the ring file"
             )
-    payload = semicontinuity_scan(spec.ideal, primes, args.e, thresholds, budget).to_json_obj()
-    if chains is not None:
-        results = [
-            check_localization_monotonicity(
-                spec.ideal, chain, args.e, equidimensional=True, budget=budget
-            ).to_json_obj()
-            for chain in chains
-        ]
-        payload["monotonicity"] = results
-        payload["passed"] = payload["passed"] and all(r["monotone"] for r in results)
-    return payload
+    return semicontinuity_scan(
+        spec.ideal, primes, args.e, thresholds, budget, chains=chains
+    ).to_json_obj()
 
 
 def _cmd_gorenstein(args, spec: RingSpec, budget: int) -> dict:

@@ -61,7 +61,6 @@ from .poly import (
     GREVLEX,
     IdealPresentation,
     MonomialOrder,
-    Polynomial,
     Ring,
     guard_mask,
     packed_overflow,
@@ -181,18 +180,6 @@ def _divide(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
                 rem[nk] = (old[0], field.add(old[1], v))
     # keys were popped in descending order, so the quotient is already sorted
     return quo
-
-
-def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises InternalInconsistency when division is not exact."""
-    ring = f.ring
-    if g.ring != ring:
-        raise RingMismatch("exact division across different rings")
-    if g.is_zero():
-        raise ZeroDivisorColon("division by the zero polynomial")
-    order = ring.order
-    q = _divide(ring, order, _internal(f, order.key), _internal(g, order.key))
-    return _to_poly(ring, order, q)
 
 
 def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB) -> ReducedGB:

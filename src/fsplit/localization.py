@@ -4,8 +4,12 @@ A coordinate prime is generated by a subset of the ring variables, so
 primality is structural. Localizing moves the complement variables into the
 coefficient field as fresh transcendentals (the generic fiber), which agrees
 with honest localization for the length invariants computed here; the corpus
-pins that agreement against hand values. Verdicts in every report are
-recomputed from the raw values, never cached independently.
+pins that agreement against hand values.
+
+``semicontinuity_scan`` is the one probe: it localizes each distinct prime
+once and reads threshold closure, the Kunz sums and chain monotonicity off
+that one table. The hypotheses of those statements (equidimensional,
+connected) are the caller's assertions and are not checked here.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, FsplitError, MissingFlag, NotContaining
+from .errors import DEFAULT_BUDGET, FsplitError, NotContaining
 from .fields import PrimeField, RatFunc, RationalFunctionField
 from .poly import GREVLEX, IdealPresentation, Ring
 from .splitting import SplittingReport, normalized_splitting_number
@@ -109,78 +113,6 @@ def s_e_at_prime(
 
 
 @dataclass(frozen=True)
-class MonotonicityResult:
-    chain: PrimeChain
-    reports: tuple
-    monotone: bool
-
-    def values(self):
-        return tuple(r.s_e for r in self.reports)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "chain": [list(P.variables) for P in self.chain.primes],
-            "values": [str(r.s_e) for r in self.reports],
-            "monotone": self.monotone,
-        }
-
-
-def check_localization_monotonicity(
-    I: IdealPresentation,
-    chain: PrimeChain,
-    e: int,
-    equidimensional: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> MonotonicityResult:
-    """Verify s_e can only drop along the chain (smaller prime, larger value).
-
-    Refuses to run unless the caller asserts the ring is locally
-    equidimensional, which the monotonicity statement assumes.
-    """
-    if not equidimensional:
-        raise MissingFlag("monotonicity check needs the equidimensional flag")
-    reports = tuple(s_e_at_prime(I, P, e, budget) for P in chain.primes)
-    ok = all(a.s_e >= b.s_e for a, b in zip(reports, reports[1:]))
-    return MonotonicityResult(chain, reports, ok)
-
-
-@dataclass(frozen=True)
-class KunzResult:
-    rows: tuple  # (prime, dim, alpha)
-    constant: bool
-
-    def sums(self):
-        return tuple(d + a for _, d, a in self.rows)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": [
-                {"prime": list(P.variables), "dim": d, "alpha": a} for P, d, a in self.rows
-            ],
-            "sums": list(self.sums()),
-            "constant": self.constant,
-        }
-
-
-def check_kunz_constancy(
-    I: IdealPresentation,
-    primes,
-    connected: bool = False,
-    equidimensional: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> KunzResult:
-    """Verify dim(R_P) + alpha(R_P) is one constant across the sampled primes."""
-    if not (connected and equidimensional):
-        raise MissingFlag("kunz constancy needs the connected and equidimensional flags")
-    rows = []
-    for P in primes:
-        report = s_e_at_prime(I, P, 0, budget)
-        rows.append((P, report.dim, report.alpha))
-    sums = {d + a for _, d, a in rows}
-    return KunzResult(tuple(rows), len(sums) <= 1)
-
-
-@dataclass(frozen=True)
 class ThresholdVerdict:
     threshold: Fraction
     strict_members: tuple  # primes with s_e > r
@@ -204,20 +136,23 @@ class ThresholdVerdict:
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
-    """Value table plus per-threshold generization-closure verdicts."""
+    """Value table plus threshold-closure, Kunz and chain-monotonicity verdicts."""
 
     e: int
-    rows: tuple  # (prime, SplittingReport)
+    rows: tuple  # (prime, SplittingReport), one per prime as given
     thresholds: tuple  # ThresholdVerdict
     kunz_sums: tuple
     kunz_constant: bool
+    chains: tuple = ()  # (PrimeChain, s_e along it, monotone)
 
     @property
     def passed(self) -> bool:
-        return all(t.strict_closed and t.weak_closed for t in self.thresholds)
+        return all(t.strict_closed and t.weak_closed for t in self.thresholds) and all(
+            monotone for _, _, monotone in self.chains
+        )
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "e": self.e,
             "values": [
                 {"prime": list(P.variables), **r.to_json_obj()} for P, r in self.rows
@@ -226,6 +161,16 @@ class SemicontinuityReport:
             "kunz": {"sums": list(self.kunz_sums), "constant": self.kunz_constant},
             "passed": self.passed,
         }
+        if self.chains:
+            obj["monotonicity"] = [
+                {
+                    "chain": [list(P.variables) for P in chain.primes],
+                    "values": [str(s) for s in values],
+                    "monotone": monotone,
+                }
+                for chain, values, monotone in self.chains
+            ]
+        return obj
 
 
 def _generization_closed(rows, members) -> bool:
@@ -243,9 +188,23 @@ def semicontinuity_scan(
     e: int,
     thresholds,
     budget: int = DEFAULT_BUDGET,
+    *,
+    chains=(),
 ) -> SemicontinuityReport:
-    """Check {s_e > r} and {s_e >= r} are closed under generization on the sample."""
-    rows = tuple((P, s_e_at_prime(I, P, e, budget)) for P in primes)
+    """One s_e table over the primes and the chains' primes, and every verdict off it.
+
+    {s_e > r} and {s_e >= r} must be closed under generization on the sampled
+    primes, dim + alpha (which does not depend on e) constant on them, and s_e
+    non-increasing along each chain. A prime is localized once however often,
+    and in whatever variable order, it is given.
+    """
+    primes, chains = tuple(primes), tuple(chains)
+    table: dict = {}
+    for P in (*primes, *(P for chain in chains for P in chain.primes)):
+        key = frozenset(P.variables)
+        if key not in table:
+            table[key] = s_e_at_prime(I, P, e, budget)
+    rows = tuple((P, table[frozenset(P.variables)]) for P in primes)
     verdicts = []
     for r in thresholds:
         r = Fraction(r)
@@ -261,10 +220,15 @@ def semicontinuity_scan(
             )
         )
     sums = tuple(rep.dim + rep.alpha for _, rep in rows)
+    monotonicity = []
+    for chain in chains:
+        values = tuple(table[frozenset(P.variables)].s_e for P in chain.primes)
+        monotonicity.append((chain, values, all(a >= b for a, b in zip(values, values[1:]))))
     return SemicontinuityReport(
         e=e,
         rows=rows,
         thresholds=tuple(verdicts),
         kunz_sums=sums,
         kunz_constant=len(set(sums)) <= 1,
+        chains=tuple(monotonicity),
     )

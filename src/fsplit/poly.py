@@ -6,9 +6,9 @@ compare via packed integer keys so term sorting and Buchberger's pair
 selection ride on native int comparison.
 
 The engines (``groebner``, ``ideals.intersect``, ``ideals.colon_ideal``,
-``ideals.divide_exact``, ``artinian``) pack a monomial into one
-integer instead, as in Bachmann and Schoenemann, "Monomial representations
-for Groebner bases computations" (ISSAC 1998):
+``artinian``) pack a monomial into one integer instead, as in Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations"
+(ISSAC 1998):
 variable i owns bits [17i, 17i + 17), 16 value bits plus a guard bit on top,
 which is zero in every valid packed monomial. With ``G = guard_mask(nvars)``,
 the guard bits of all fields:

@@ -112,16 +112,20 @@ class SignatureEstimate:
 
 
 def _guard(ring: Ring, e: int, budget: int) -> int:
-    """q = p^e; refuses q^n over the budget, or q itself when n = 0 (reports print q, a_e)."""
+    """q = p^e; refuses q^n over the budget, or when n = 0, q and then q^alpha.
+
+    Reports print q and a_e, and with no variable left a_e <= q^alpha.
+    """
     if e < 0:
         raise ValueError("e must be nonnegative")
-    n = ring.nvars
-    p, en = ring.field.characteristic, e * max(n, 1)
-    # p^(e*n) >= 2^(e*n) > budget once e*n reaches its bit length: no huge power
-    if en >= budget.bit_length() or p**en > budget:
-        raise CostGuardExceeded(
-            f"{'q^n' if n else 'q'} = {p}^{en} exceeds the standard-monomial budget {budget}"
-        )
+    n, p = ring.nvars, ring.field.characteristic
+    powers = [("q^n", n)] if n else [("q", 1), ("q^alpha", max(ring.field.alpha(), 1))]
+    for name, k in powers:
+        # p^(e*k) >= 2^(e*k) > budget once e*k reaches its bit length: no huge power
+        if e * k >= budget.bit_length() or p ** (e * k) > budget:
+            raise CostGuardExceeded(
+                f"{name} = {p}^{e * k} exceeds the standard-monomial budget {budget}"
+            )
     return p**e
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import fsplit.localization
 from fsplit import FsplitError
 from fsplit.cli import _build_parser, main
 from fsplit.ringspec import parse_ring_spec
@@ -102,6 +103,23 @@ def test_probe_table_and_verdict(files, capsys):
     assert all(m["monotone"] for m in payload["monotonicity"])
 
 
+def test_probe_localizes_each_prime_once(files, capsys, monkeypatch):
+    # 4 distinct primes over --primes and both chains: one report each
+    calls = []
+    s_e_at_prime = fsplit.localization.s_e_at_prime
+
+    def counted(I, P, e, budget):
+        calls.append(P.variables)
+        return s_e_at_prime(I, P, e, budget)
+
+    monkeypatch.setattr(fsplit.localization, "s_e_at_prime", counted)
+    code, _, _ = run(
+        capsys, "probe", files["node3"], "--primes", "Px|Pxz|Pxy|Pall", "--e", "1",
+        "--thresholds", "0,1/2", "--chains", "C1|C2", "--no-timestamp",
+    )
+    assert code == 0 and len(calls) == 4
+
+
 def test_probe_inline_primes(files, capsys):
     code, out, _ = run(
         capsys,
@@ -159,8 +177,15 @@ def test_se_ideal_off_the_origin_exit_2(tmp_path, capsys):
 
 
 def test_usage_errors_exit_1(files, capsys):
-    assert run(capsys, "se", files["node2"])[0] == 1  # missing --e/--emax
-    assert run(capsys)[0] == 1  # missing subcommand
+    for argv in (
+        ("se", files["node2"]),  # missing --e/--emax
+        (),  # missing subcommand
+        ("gorenstein", files["node2"], "--e", "1", "--sop", "-x"),  # -x read as an option
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        # one line, without argparse's usage block
+        assert len(err.splitlines()) == 1 and ": error: " in err, argv
 
 
 def test_missing_file_exit_1(capsys):
@@ -329,6 +354,18 @@ def test_zero_prime_huge_e_is_a_budget_refusal(files, capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.splitlines() == ["fsplit: budget: q = 3^10000 exceeds the "
                                 "standard-monomial budget 1000000"]
+
+
+def test_zero_prime_a_e_is_bounded_with_q(files, capsys):
+    # q = 3^4600 is within this budget, but a_e can reach q^alpha = 3^9200
+    # (alpha = 2), past Python's 4,300-digit integer printing limit
+    code, out, err = run(
+        capsys, "probe", files["zero"], "--primes", "0", "--e", "4600",
+        "--thresholds", "0", "--budget", "1" + "0" * 2200,
+    )
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("fsplit: budget: q^alpha = 3^9200 exceeds")
 
 
 @pytest.mark.parametrize(

@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+import fsplit.localization
 from fsplit import (
     CoordinatePrime,
     FsplitError,
-    MissingFlag,
     NotContaining,
     PrimeChain,
     PrimeField,
     RationalFunctionField,
     Ring,
-    check_kunz_constancy,
-    check_localization_monotonicity,
+    SplittingReport,
     localize_at_coordinate_prime,
     normalized_splitting_number,
     s_e_at_prime,
@@ -92,22 +91,79 @@ def test_local_value_at_a_prime():
     assert s_e_at_prime(I, CoordinatePrime(("x", "y")), 1).s_e == 1
 
 
+def _chain(*names):
+    return PrimeChain(tuple(CoordinatePrime(n) for n in names))
+
+
 def test_monotonicity_examples():
-    chain = PrimeChain((CoordinatePrime(("x",)), CoordinatePrime(("x", "z"))))
-    res = check_localization_monotonicity(NODE3, chain, 1, equidimensional=True)
-    assert res.monotone and res.values() == (1, 1)
-    chain = PrimeChain((CoordinatePrime(("x",)), CoordinatePrime(("x", "y", "z"))))
-    res = check_localization_monotonicity(NODE3, chain, 1, equidimensional=True)
-    assert res.monotone and res.values() == (1, Fraction(1, 2))
-    chain = PrimeChain((CoordinatePrime(("x", "y")), CoordinatePrime(("x", "y", "z"))))
-    res = check_localization_monotonicity(NODE3, chain, 1, equidimensional=True)
-    assert res.monotone and res.values() == (Fraction(1, 2), Fraction(1, 2))
+    chains = [
+        _chain(("x",), ("x", "z")),
+        _chain(("x",), ("x", "y", "z")),
+        _chain(("x", "y"), ("x", "y", "z")),
+    ]
+    report = semicontinuity_scan(NODE3, [], 1, [], chains=chains)
+    assert [(values, ok) for _, values, ok in report.chains] == [
+        ((1, 1), True),
+        ((1, Fraction(1, 2)), True),
+        ((Fraction(1, 2), Fraction(1, 2)), True),
+    ]
+    assert report.passed and report.rows == ()
 
 
-def test_monotonicity_needs_flag():
-    chain = PrimeChain((CoordinatePrime(("x",)), CoordinatePrime(("x", "y"))))
-    with pytest.raises(MissingFlag):
-        check_localization_monotonicity(NODE3, chain, 1)
+def test_a_rising_chain_fails_the_scan(monkeypatch):
+    # a table with s_e rising from (x) to (x, y): every threshold set is
+    # closed on the given primes, so only the chain can fail the scan
+    values = {("x",): Fraction(1, 2), ("x", "y"): Fraction(1)}
+
+    def fake(I, P, e, budget):
+        return SplittingReport(e, 2**e, 0, 0, 0, values[P.variables], 0)
+
+    monkeypatch.setattr(fsplit.localization, "s_e_at_prime", fake)
+    primes = [CoordinatePrime(("x",))]
+    assert semicontinuity_scan(NODE3, primes, 1, [Fraction(1, 2)]).passed
+    report = semicontinuity_scan(
+        NODE3, primes, 1, [Fraction(1, 2)], chains=[_chain(("x",), ("x", "y"))]
+    )
+    assert [ok for _, _, ok in report.chains] == [False]
+    assert not report.passed
+    assert report.to_json_obj()["monotonicity"][0] == {
+        "chain": [["x"], ["x", "y"]], "values": ["1/2", "1"], "monotone": False,
+    }
+
+
+def test_scan_localizes_each_distinct_prime_once(monkeypatch):
+    # a prime given twice, in two variable orders, or again in a chain, is
+    # computed once but listed as given
+    calls = []
+
+    def counted(I, P, e, budget):
+        calls.append(P.variables)
+        return s_e_at_prime(I, P, e, budget)
+
+    monkeypatch.setattr(fsplit.localization, "s_e_at_prime", counted)
+    px, pxz, pzx = (CoordinatePrime(n) for n in (("x",), ("x", "z"), ("z", "x")))
+    chain = PrimeChain((px, CoordinatePrime(("z", "y", "x"))))
+    report = semicontinuity_scan(NODE3, [pxz, px, pzx, px], 1, [Fraction(1, 2)], chains=[chain])
+    assert calls == [("x", "z"), ("x",), ("z", "y", "x")]
+    assert [P.variables for P, _ in report.rows] == [("x", "z"), ("x",), ("z", "x"), ("x",)]
+    assert report.rows[0][1] is report.rows[2][1]
+    assert report.to_json_obj()["values"][2]["prime"] == ["z", "x"]
+    assert report.chains == ((chain, (1, Fraction(1, 2)), True),)
+
+
+def test_scan_chain_verdicts_match_a_per_chain_recomputation():
+    entry = BY_NAME["node3_p2"]
+    chains = [PrimeChain(tuple(CoordinatePrime(tuple(s)) for s in c)) for c in entry.chains]
+    for e in (1, 2):
+        report = semicontinuity_scan(entry.ideal, entry.primes, e, [Fraction(1, 2)], chains=chains)
+        for chain, (given, values, monotone) in zip(chains, report.chains):
+            want = tuple(s_e_at_prime(entry.ideal, P, e).s_e for P in chain.primes)
+            assert given is chain and values == want
+            assert monotone == all(a >= b for a, b in zip(want, want[1:]))
+        assert report.passed == (
+            all(t.strict_closed and t.weak_closed for t in report.thresholds)
+            and all(m for _, _, m in report.chains)
+        )
 
 
 def test_chain_strictness():
@@ -119,32 +175,18 @@ def test_chain_strictness():
 
 def test_kunz_examples():
     primes = [CoordinatePrime(("x",)), CoordinatePrime(("x", "y")), CoordinatePrime(("x", "y", "z"))]
-    res = check_kunz_constancy(NODE3, primes, connected=True, equidimensional=True)
+    res = semicontinuity_scan(NODE3, primes, 0, [])
     # recomputed pairs: (0, 2), (1, 1), (2, 0); the asserted invariant is constancy
-    assert [(d, a) for _, d, a in res.rows] == [(0, 2), (1, 1), (2, 0)]
-    assert res.constant and res.sums() == (2, 2, 2)
+    assert [(r.dim, r.alpha) for _, r in res.rows] == [(0, 2), (1, 1), (2, 0)]
+    assert res.kunz_constant and res.kunz_sums == (2, 2, 2)
 
     R3 = Ring(PrimeField(3), ("x", "y"))
     zero = R3.ideal()
-    res = check_kunz_constancy(
-        zero,
-        [CoordinatePrime(("x",)), CoordinatePrime(("x", "y"))],
-        connected=True,
-        equidimensional=True,
-    )
-    assert res.sums() == (2, 2)
+    res = semicontinuity_scan(zero, [CoordinatePrime(("x",)), CoordinatePrime(("x", "y"))], 0, [])
+    assert res.kunz_sums == (2, 2)
 
-    single = check_kunz_constancy(
-        NODE3, [CoordinatePrime(("x",))], connected=True, equidimensional=True
-    )
-    assert single.constant
-
-
-def test_kunz_needs_flags():
-    with pytest.raises(MissingFlag):
-        check_kunz_constancy(NODE3, [CoordinatePrime(("x",))], connected=True)
-    with pytest.raises(MissingFlag):
-        check_kunz_constancy(NODE3, [CoordinatePrime(("x",))], equidimensional=True)
+    single = semicontinuity_scan(NODE3, [CoordinatePrime(("x",))], 0, [])
+    assert single.kunz_constant
 
 
 def test_scan_example():
@@ -199,10 +241,10 @@ def test_localize_over_function_field_base():
         assert (rep.s_e, rep.dim, rep.alpha) == want, names
 
     primes = [CoordinatePrime(n) for n in expectations]
-    rows = check_kunz_constancy(I, primes, connected=True, equidimensional=True)
-    assert rows.constant and set(rows.sums()) == {3}
-    chain = PrimeChain(tuple(primes))
-    assert check_localization_monotonicity(I, chain, 1, equidimensional=True).monotone
+    kunz = semicontinuity_scan(I, primes, 0, [])
+    assert kunz.kunz_constant and set(kunz.kunz_sums) == {3}
+    report = semicontinuity_scan(I, [], 1, [], chains=[PrimeChain(tuple(primes))])
+    assert [ok for _, _, ok in report.chains] == [True]
 
 
 def test_theorem_constancy_shadow():

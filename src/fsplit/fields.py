@@ -33,8 +33,15 @@ Quotients and products of monic polynomials are monic, and the canonical form
 is unique, so each rule gives the RatFunc the cross-multiplied fraction has.
 
 Most operands have a one-term numerator or denominator (c*t^e, often 1), so
-the helpers take exact single-term cases before the general code:
+the operations and helpers take exact single-term cases before the general
+code:
 
+- ``add`` of c*t^u/d and c'*t^u/d, one like term over one denominator, is
+  (c + c')*t^u/d, or the field's zero when c + c' = 0 mod p. The general code
+  would take gcd(t^u, d), which is 1, since gcd(c*t^u, d) = 1 for the
+  canonical summand, and d stays monic, so the tuple is the same.
+- ``neg`` of a one-term numerator c*t^u writes (p - c)*t^u, the term
+  ``neg_terms`` builds, over the same denominator.
 - ``_tp_gcd`` with a one-term argument c*t^e and a nonzero f returns t^g, g the
   componentwise minimum of e and every exponent of f. The t_i are the only
   primes dividing a monomial, so every divisor of c*t^e is a unit times a
@@ -430,10 +437,14 @@ class RationalFunctionField(FieldDescriptor):
             return b
         if not b.num:
             return a
-        F = self._fp
         ad, bd = a.den, b.den
         if ad == bd:
-            return self._canonical(add_terms(a.num, b.num, F, _rank), ad)
+            if len(a.num) == len(b.num) == 1 and a.num[0][0] == b.num[0][0]:
+                (u, c), (_, d) = a.num[0], b.num[0]
+                s = (c + d) % self.characteristic
+                return RatFunc(((u, s),), ad) if s else self._zero
+            return self._canonical(add_terms(a.num, b.num, self._fp, _rank), ad)
+        F = self._fp
         # the denominators differ, so the sum is nonzero
         g = _tp_gcd(ad, bd, F)
         if not _tp_is_const(g):
@@ -443,6 +454,9 @@ class RationalFunctionField(FieldDescriptor):
         return RatFunc(num, mul_terms(mul_terms(ad, bd, F, _rank), g, F, _rank))
 
     def neg(self, a):
+        if len(a.num) == 1:
+            ((u, c),) = a.num
+            return RatFunc(((u, self.characteristic - c),), a.den)
         return RatFunc(neg_terms(a.num, self._fp), a.den)
 
     def sub(self, a, b):

@@ -274,6 +274,8 @@ def _reference(field, op, a, b=None):
     an, ad = a.num, a.den
     if op == "inv":
         return field._canonical(ad, an)
+    if op == "neg":
+        return field._canonical(neg_terms(an, PrimeField(p)), ad)
     bn, bd = b.num, b.den
     if op == "sub":
         op, bn = "add", neg_terms(bn, PrimeField(p))
@@ -382,3 +384,48 @@ def test_inverse_rescales_a_non_monic_numerator():
     a = rf(F5T, {(1,): 2, (0,): 1}, {(2,): 1, (1,): 1, (0,): 1})
     assert a.num == (((1,), 2), ((0,), 1))
     assert F5T.inv(a) == RatFunc((((2,), 3), ((1,), 3), ((0,), 3)), (((1,), 1), ((0,), 3)))
+
+
+# -- one-term add and neg against cross-multiplication --------------------------
+
+
+@st.composite
+def one_term_pairs(draw, field):
+    """a, b as Laurent monomials c*t^u/t^v, as like terms c*t^u/d and c'*t^u/d
+    over one denominator d (a short sum or a monomial), or as short sums, so
+    that add's like-term path, its zero sum and neg's one-term path all run."""
+    p, m = field.characteristic, len(field.transcendentals)
+
+    def coefficient():
+        return draw(st.integers(1, p - 1))
+
+    def mono():
+        return dict(draw(tpolys(p, m, max_terms=1, max_exp=2)))
+
+    shape = draw(st.sampled_from(["laurent", "like", "like-over-sum", "sums"]))
+    if shape == "laurent":
+        return rf(field, mono(), mono()), rf(field, mono(), mono())
+    if shape == "sums":
+        return tuple(
+            rf(field, dict(draw(tpolys(p, m, 2, 2))), dict(draw(tpolys(p, m, 2, 2))))
+            for _ in range(2)
+        )
+    ((u, _),) = mono().items()
+    d = mono() if shape == "like" else dict(draw(tpolys(p, m, 3, 2)))
+    a, b = (rf(field, {u: coefficient()}, d) for _ in range(2))
+    assert len(a.num) == len(b.num) == 1 and a.num[0][0] == b.num[0][0] and a.den == b.den
+    return a, b
+
+
+@pytest.mark.parametrize("p,m", SHORTCUT_FIELDS)
+@given(data=st.data())
+def test_one_term_paths_match_cross_multiplication(p, m, data):
+    # add's like-term path and neg's one-term path must return the tuple the
+    # general route does: the cross-multiplied fraction through _canonical
+    field = RationalFunctionField(p, ("t1", "t2", "t3")[:m])
+    a, b = data.draw(one_term_pairs(field))
+    cases = [(op, (a, b)) for op in ("add", "sub", "mul")]
+    cases += [("div", (a, b))] if not field.is_zero(b) else []
+    cases += [("neg", (x,)) for x in (a, b)]
+    for op, args in cases:
+        assert getattr(field, op)(*args) == _reference(field, op, *args), (op, args)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsplit import (
+    GREVLEX,
     CostGuardExceeded,
     InternalInconsistency,
     InvalidSocle,
@@ -24,6 +25,7 @@ from fsplit import (
     buchberger,
     dual_splitting_length,
     f_signature_sequence,
+    frobenius_power,
     gorenstein_splitting_number,
     hypersurface_is_fpure,
     ideal_member,
@@ -377,6 +379,21 @@ def test_origin_step_runs_once_per_call_and_per_sweep(monkeypatch):
         assert len(on_I) == 1
 
 
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(3), PrimeField(5), RationalFunctionField(3, ("t",))],
+    ids=repr,
+)
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("e", range(4))
+def test_pure_power_basis_is_the_reduced_basis(field, n, e):
+    # the primal colon takes n^[q] as its own reduced basis, with no Buchberger
+    ring = Ring(field, ("x", "y", "z", "w")[:n])
+    nq = frobenius_power(ring.variable_ideal(), e)
+    # equality compares the ring, the order and the raw terms
+    assert splitting._pure_power_gb(nq) == buchberger(nq, GREVLEX)
+
+
 def test_cost_guard_partial_results():
     x2, y2 = R2.gens()
     with pytest.raises(CostGuardExceeded) as info:
@@ -530,3 +547,103 @@ def test_metamorphic_relations(case, e, data):
         images.append(v)
     moved = base.ideal(*(_substituted(base, g, images) for g in gens))
     assert normalized_splitting_number(moved, e) == rep
+
+
+# -- the product relation: disjoint variables multiply lengths -------------------
+#
+# For I in k[x] and J in k[y], S = k[x, y] and q = p^e, (I + J)^[q] : (I + J)
+# = K_I*K_J + I^[q] + J^[q] and S/n^[q] is the tensor product of the two
+# boxes, so lambda_e(I + J) = lambda_e(I)*lambda_e(J) over the factors' own
+# rings, and dim S/(I + J) = dim k[x]/I + dim k[y]/J. Computed in the full
+# ring, where a free variable multiplies lambda_e by q and adds 1 to the
+# dimension, this reads lambda_e(I + J)*q^n = lambda_e(IS)*lambda_e(JS) and
+# dim(I + J) + n = dim(IS) + dim(JS), with n the number of variables of S.
+# Neither side uses a colon of the other, and I + J has at least two
+# generators, so its K goes through colon_ideal, with F_p(t) coefficients
+# where the field has them.
+
+PRODUCT_NAMES = ("x", "y", "u", "v", "w")
+
+
+def _product_check(field, I, J, e):
+    """lambda_e(I + J) after checking the relation; I, J: callables on the gens."""
+    ring = Ring(field, PRODUCT_NAMES)
+    x, y, u, v, w = ring.gens()
+    t = ring.constant(field.transcendental("t")) if field.transcendentals else ring.one()
+    gi, gj = I(x, y, t), J(u, v, w, t)
+    a, b, both = (normalized_splitting_number(ring.ideal(*g), e) for g in (gi, gj, gi + gj))
+    q, n = field.characteristic**e, ring.nvars
+    assert both.splitting_length * q**n == a.splitting_length * b.splitting_length
+    assert both.dim + n == a.dim + b.dim
+    return both.splitting_length
+
+
+F3T = RationalFunctionField(3, ("t",))
+
+
+@pytest.mark.parametrize(
+    "field,I,J,lams",
+    [
+        # a nodal cubic times the A_1 cone: 1 * (q^2 + 1)/2
+        (F3T, lambda x, y, t: [y**2 - t * x**3 - x**2],
+         lambda u, v, w, t: [u * v - w**2], (5, 41)),
+        # V(I) is two points, and the origin's local ring is the field: lambda = 1
+        (F3T, lambda x, y, t: [x - t * y**2, y - y**2],
+         lambda u, v, w, t: [u * v - w**2 + t * u**3], (5, 41)),
+        (PrimeField(3), lambda x, y, t: [x, y - y**2],
+         lambda u, v, w, t: [u * v - w**2 - w**3], (5, 41)),
+        (PrimeField(2), lambda x, y, t: [x * y + x**3 + y**3],
+         lambda u, v, w, t: [u * v + u**3, u * w], (1, 1)),
+        (RationalFunctionField(2, ("t",)), lambda x, y, t: [x * y + t * x**3],
+         lambda u, v, w, t: [u * (v + t * u**2), u * w], (1, 1)),
+        (RationalFunctionField(5, ("t",)), lambda x, y, t: [y**2 - x**2 - t * x**3],
+         lambda u, v, w, t: [u * v, u * w - t * u**2], (1,)),
+    ],
+    ids=["F3(t)-node-A1", "F3(t)-two-gens", "F3-point", "F2-node", "F2(t)-node", "F5(t)-node"],
+)
+def test_product_relation(field, I, J, lams):
+    assert tuple(_product_check(field, I, J, e) for e in range(1, len(lams) + 1)) == lams
+
+
+@st.composite
+def product_factors(draw):
+    """(field, I, J): a plane curve through the origin and one or two
+    generators in (u, v, w), each a fixed lowest form plus terms of degree 3
+    with coefficients c*t^k when the field has t."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    field = draw(st.sampled_from([PrimeField(p), RationalFunctionField(p, ("t",))]))
+
+    def higher(nvars):
+        """Up to two terms c*t^k*(a cubic monomial), as (k, c, variable indices)."""
+        return draw(st.lists(st.tuples(
+            st.integers(0, 2), st.integers(1, p - 1), st.lists(st.integers(0, nvars - 1),
+                                                               min_size=3, max_size=3),
+        ), max_size=2))
+
+    def build(terms, gens, t):
+        out = 0
+        for k, c, idx in terms:
+            mono = t**k * c
+            for i in idx:
+                mono = mono * gens[i]
+            out = out + mono
+        return out
+
+    curve, hi = draw(st.sampled_from(["node", "cusp", "tacnode"])), higher(2)
+    cone, hj = draw(st.sampled_from(["A1", "plane+line", "cross"])), higher(3)
+
+    def I(x, y, t):
+        low = {"node": x * y, "cusp": y**2 - x**3, "tacnode": y**2 - x**4}[curve]
+        return [low + build(hi, (x, y), t)]
+
+    def J(u, v, w, t):
+        gens = {"A1": [u * v - w**2], "plane+line": [u * v, u * w], "cross": [u * v * w]}[cone]
+        return [gens[0] + build(hj, (u, v, w), t)] + gens[1:]
+
+    return field, I, J
+
+
+@settings(max_examples=20, deadline=None)
+@given(product_factors())
+def test_product_relation_on_drawn_factors(factors):
+    _product_check(*factors, 1)

@@ -18,10 +18,20 @@ length lambda is local to the origin, but dim is the global Krull dimension
 of S/I, so s_e is wrong when a component of V(I) away from the origin has a
 larger dimension than every one through it; two strict xfails pin this,
 ``test_local_value_at_the_origin`` and ``test_local_value_at_a_prime``.
-A Gorenstein route through a system of parameters and a socle generator is
-an independent cross-check. Its socle work (the bases of A = I + (sop) and
-of (A : n)) runs once per call, whether the socle element is computed or
-supplied.
+A Gorenstein route through a system of parameters and a socle generator u
+of S/A, A = I + (sop), is an independent cross-check with no colon and no
+elimination. Its length lambda(S / (B : w)), B = I + sop^[q] and w = u^q,
+comes from the exact sequence
+
+  0 -> S/(B : w) -(*w)-> S/B -> S/(B + (w)) -> 0
+
+as lambda(S/B) - lambda(S/(B + (w))): two grevlex bases and two staircase
+counts. S/B is Artinian, as it has the radical of S/A. The socle of S/A is
+the common kernel of multiplication by x_1..x_n on its staircase, by
+Gaussian elimination over the coefficient field, and the basis of (A : n)
+is that of A plus the socle element. This socle work runs once per call,
+whether u is computed or supplied. The route shares only grevlex Buchberger
+and the staircase count with the colon route, on a different ideal.
 
 The pure powers x_i^q that present n^[q] are already its reduced grevlex
 basis, so the primal colon and ``hypersurface_is_fpure`` build that basis
@@ -56,9 +66,22 @@ from .errors import (
     NotContaining,
     NotGorenstein,
 )
-from .groebner import ReducedGB, _internal, buchberger, ideal_member, normal_form
+from .groebner import (
+    ReducedGB,
+    _internal,
+    _key_degree,
+    _key_weights,
+    _monic,
+    _nf,
+    _reduce_basis,
+    _Working,
+    buchberger,
+    ideal_member,
+    normal_form,
+)
 from .ideals import colon_ideal, frobenius_power, ideal_sum
 from .poly import (
+    _FIELD_BITS,
     EXPONENT_LIMIT,
     GREVLEX,
     IdealPresentation,
@@ -315,12 +338,114 @@ def hypersurface_is_fpure(f: Polynomial, e: int) -> bool:
     return not ideal_member(f ** (q - 1), nq)
 
 
-def _socle_bases(I: IdealPresentation, sop: tuple) -> tuple:
+def _socle(GA: ReducedGB, budget: int) -> tuple:
+    """The dimension of the socle (A : n)/A of S/A and one nonzero element of
+    it, monic, in normal form and working form (None when the socle is zero).
+
+    The socle is the common kernel of multiplication by x_1..x_n on S/A,
+    whose basis is the staircase of GA. The staircase is closed under
+    division, so it grows from 1 by multiplying by each variable; a product
+    that some lead divides is off it, and its image is its normal form mod
+    GA. Row (i, r) of the stacked maps holds the m_r-coefficient of x_i*m_j
+    in column j, and ``_kernel`` solves them. The staircase is refused when
+    it has more monomials than ``budget``, before any is enumerated.
+    """
+    ring = GA.ring
+    n, field = ring.nvars, ring.field
+    size = length(GA)
+    if size > budget:
+        raise CostGuardExceeded(
+            f"the staircase of S/(I + sop) has {size} monomials, over the budget {budget}"
+        )
+    basis, leads = GA._terms, GA.leads
+    guard = guard_mask(n)
+    k0, weights = _key_weights(GREVLEX.key, n)
+    units = [1 << (_FIELD_BITS * i) for i in range(n)]
+    one = field.one()
+    stairs = [0]
+    index = {0: 0}
+    off = {}  # product off the staircase -> its normal form
+    for m in stairs:  # grows while it is walked
+        for x in units:
+            mx = m + x
+            if mx in index or mx in off:
+                continue
+            g = mx | guard
+            if any((g - l) & guard == guard for l in leads):
+                term = [(_key_degree(mx, k0, weights)[0], mx, one)]
+                off[mx] = _nf(term, basis, leads, field, guard)
+            else:
+                index[mx] = len(stairs)
+                stairs.append(mx)
+    rows: dict = {}
+    for j, m in enumerate(stairs):
+        for i, x in enumerate(units):
+            mx = m + x
+            image = ((mx, one),) if mx in index else ((t[1], t[2]) for t in off[mx])
+            for mr, c in image:
+                rows.setdefault((i, index[mr]), {})[j] = c
+    dim, v = _kernel(rows.values(), len(stairs), field)
+    if v is None:
+        return dim, None
+    terms = [(_key_degree(stairs[j], k0, weights)[0], stairs[j], c) for j, c in v.items()]
+    terms.sort(reverse=True)
+    return dim, _monic(terms, field)
+
+
+def _kernel(rows, ncols: int, field) -> tuple:
+    """The dimension of {v in k^ncols : row . v = 0 for every row} and one
+    nonzero v in it (None when it is zero), rows and v as {column: coefficient}
+    dicts, by Gaussian elimination.
+
+    Each pivot row is monic in its pivot, its least column, so subtracting it
+    clears that column and adds only larger ones: a new row is reduced by
+    clearing its least column while that is a pivot. v is 1 at the first free
+    column and 0 at the others, and is solved from the largest pivot down.
+    """
+    is_zero, add, mul, neg = field.is_zero, field.add, field.mul, field.neg
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            p = min(row)
+            pivot = pivots.get(p)
+            if pivot is None:
+                inv = field.inv(row[p])
+                pivots[p] = {col: mul(c, inv) for col, c in row.items()}
+                break
+            a = row.pop(p)
+            for col, c in pivot.items():
+                if col != p:
+                    c = neg(mul(a, c))
+                    c = add(row[col], c) if col in row else c
+                    if is_zero(c):
+                        del row[col]
+                    else:
+                        row[col] = c
+    free = [col for col in range(ncols) if col not in pivots]
+    if not free:
+        return 0, None
+    v = {free[0]: field.one()}
+    for p in sorted(pivots, reverse=True):
+        acc = field.zero()
+        for col, c in pivots[p].items():
+            if col in v:
+                acc = add(acc, mul(c, v[col]))
+        if not is_zero(acc):
+            v[p] = neg(acc)
+    return len(free), v
+
+
+def _socle_bases(I: IdealPresentation, sop: tuple, budget: int) -> tuple:
     """Reduced bases of A = I + (sop) and of (A : n), with the socle certified.
 
     Checks that I is at the origin, that sop has as many elements as the
     Krull dimension, that S/A is Artinian and nonzero, and that its socle
-    (A : n)/A is one-dimensional.
+    (A : n)/A is one-dimensional (``_socle``, no colon). Then n*u lies in A
+    for the socle element u, so (A : n) = A + (u) is A plus the line of u,
+    its leading monomials are those of A and lead(u), and GA with u made
+    monic is a Groebner basis of it: ``_reduce_basis`` gives the unique
+    reduced basis, the one ``colon_ideal(GA, n)`` returns.
     """
     ring = I.ring
     d = _origin_dimension(I)
@@ -332,31 +457,43 @@ def _socle_bases(I: IdealPresentation, sop: tuple) -> tuple:
         raise NotArtinian("the parameter ideal does not cut down to dimension zero")
     if GA.is_unit_ideal():
         raise NotArtinian("the parameter ideal is the unit ideal")
-    lam_A = length(GA)
-    C = colon_ideal(GA, ring.variable_ideal())
-    socle_dim = lam_A - length(C)
-    if socle_dim != 1:
-        raise NotGorenstein(f"socle has vector-space dimension {socle_dim}, not 1")
-    return GA, C
+    dim, u = _socle(GA, budget)
+    if dim != 1:
+        raise NotGorenstein(f"socle has vector-space dimension {dim}, not 1")
+    return GA, _reduce_basis(ring, GREVLEX, list(GA._terms) + [u])
 
 
-def socle_generator(I: IdealPresentation, sop) -> Polynomial:
+def socle_generator(I: IdealPresentation, sop, budget: int = DEFAULT_BUDGET) -> Polynomial:
     """A lift of the socle generator of S/(I + (sop)); errors if not Gorenstein.
 
     ``sop`` must be a system of parameters at the origin: as many elements as
     the Krull dimension, with Artinian quotient. Zero-dimensional rings take
-    the empty sop by convention.
+    the empty sop by convention. The socle is the common kernel of the
+    multiplication maps of S/(I + (sop)) on a staircase of at most ``budget``
+    monomials (``_socle``). Every element of (I + (sop)) : n reduces mod
+    I + (sop) to a multiple of one lift, and the lift returned is the first
+    nonzero normal form along the reduced basis of that colon.
     """
-    GA, C = _socle_bases(I, tuple(sop))
-    candidates = []
+    GA, C = _socle_bases(I, tuple(sop), budget)
     for g in C.basis:
         nf = normal_form(g, GA)
         if not nf.is_zero():
-            candidates.append(nf)
-    if not candidates:
-        raise InternalInconsistency("one-dimensional socle produced no generator")
-    keyf = GA.order.key
-    return min(candidates, key=lambda h: keyf(h.leading_term(GA.order)[0]))
+            return nf
+    raise InternalInconsistency("one-dimensional socle produced no generator")
+
+
+def _gorenstein_length(B: IdealPresentation, w: Polynomial) -> int:
+    """lambda(S / (B : w)) for an Artinian S/B, with no colon.
+
+    The sequence 0 -> S/(B : w) -(*w)-> S/B -> S/(B + (w)) -> 0 is exact,
+    so the length is lambda(S/B) - lambda(S/(B + (w))): two grevlex bases,
+    the second seeded with the first, and two staircase counts.
+    """
+    GB = buchberger(B, GREVLEX)
+    k0, weights = _key_weights(GREVLEX.key, B.ring.nvars)
+    gens = [(t, _key_degree(t[0][1], k0, weights)[1]) for t in GB._terms]
+    gens.append((_internal(w, GREVLEX.key), w.total_degree()))
+    return length(GB) - length(buchberger(_Working(B.ring, gens), GREVLEX))
 
 
 def gorenstein_splitting_number(
@@ -368,25 +505,24 @@ def gorenstein_splitting_number(
 ) -> SplittingReport:
     """Splitting report via the Gorenstein route lambda(R u^q + sop^[q] / sop^[q]).
 
-    Computed in the ambient ring as lambda(S / ((I + sop^[q]) : u^q)). The
-    default u is the computed socle generator. A supplied u must lie outside
-    A = I + (sop) and inside (A : n), against the same certified bases.
+    Computed in the ambient ring as lambda(S / ((I + sop^[q]) : u^q)), by
+    ``_gorenstein_length``. The default u is the computed socle generator. A
+    supplied u must lie outside A = I + (sop) and inside (A : n), against
+    the same certified bases. The staircase of S/A is held to ``budget``.
     """
     ring = I.ring
     sop = tuple(sop)
     _guard(ring, e, budget)
     if u is None:
-        u = socle_generator(I, sop)
+        u = socle_generator(I, sop, budget)
     else:
-        GA, C = _socle_bases(I, sop)
+        GA, C = _socle_bases(I, sop, budget)
         if normal_form(u, GA).is_zero():
             raise InvalidSocle("supplied socle element lies in the parameter ideal")
         if not ideal_member(u, C):
             raise InvalidSocle("supplied element does not annihilate the maximal ideal")
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
-    uq = u.frobenius(e)
-    C = colon_ideal(B, IdealPresentation(ring, (uq,)))
-    return _make_report(I, e, length(C), len(sop))
+    return _make_report(I, e, _gorenstein_length(B, u.frobenius(e)), len(sop))
 
 
 def f_signature_sequence(

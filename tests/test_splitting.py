@@ -462,7 +462,8 @@ def test_cusp_char_2_splitting_ideal_is_unit():
 @pytest.mark.parametrize("e", [0, 1, 2])
 def test_zero_variable_ring(field, e):
     # S = k, n = (0) and I = (0): J = 0 : K is the zero ideal, the dual count
-    # is q^0 minus the length of S / K = 0, and s_e = 1 at every e
+    # is q^0 minus the length of S / K = 0, and s_e = 1 at every e, on the
+    # Gorenstein route too
     ring = Ring(field, ())
     I = ring.ideal()
     J = splitting_ideal(I, e)
@@ -470,6 +471,9 @@ def test_zero_variable_ring(field, e):
     assert dual_splitting_length(I, e) == 1
     rep = normalized_splitting_number(I, e)
     assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
+    # n = (0) annihilates all of S/I = k, so the socle is k, spanned by 1
+    assert socle_generator(I, ()) == ring.one()
+    assert gorenstein_splitting_number(I, (), e) == rep
 
 
 def test_cost_guard_bounds_q_without_variables():

@@ -49,8 +49,10 @@ class RingSpec:
 # Python frames, so this stays well inside the default recursion limit.
 MAX_NESTING = 100
 
+# ASCII only: str.isdigit and int() also take other scripts' digits and '_'
+_DIGITS = set("0123456789")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS
 
 
 class _Tokens:
@@ -68,9 +70,9 @@ class _Tokens:
             if ch in "+-*^()":
                 self.toks.append((ch, ch, line, col))
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 try:
                     self.toks.append(("int", int(text[i:j]), line, col))
@@ -295,10 +297,9 @@ def parse_ring_spec(text: str) -> RingSpec:
         if key in raw:
             raise ParseError(f"duplicate key {key!r}", lineno)
         if key == "char":
-            try:
-                char = int(value)
-            except ValueError:
-                raise ParseError(f"characteristic {value!r} is not an integer", lineno) from None
+            if not value or not set(value) <= _DIGITS:
+                raise ParseError(f"characteristic {value!r} is not an integer", lineno, col)
+            char = int(value)
             check_characteristic(char)
             raw[key] = char
         elif key == "vars":

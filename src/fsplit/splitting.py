@@ -28,14 +28,15 @@ comes from the exact sequence
 as lambda(S/B) - lambda(S/(B + (w))): two grevlex bases and two staircase
 counts. S/B is Artinian, as it has the radical of S/A. The socle of S/A is
 the common kernel of multiplication by x_1..x_n on its staircase, by
-Gaussian elimination over the coefficient field, and the basis of (A : n)
-is that of A plus the socle element. This socle work runs once per call,
-whether u is computed or supplied. The route shares only grevlex Buchberger
-and the staircase count with the colon route, on a different ideal.
+Gaussian elimination over the coefficient field; u comes out monic and in
+normal form mod A, and (A : n) = A + k*u, so one normal form checks a
+supplied u. This socle work runs once per call. The route shares only
+grevlex Buchberger and the staircase count with the colon route, on a
+different ideal.
 
-The pure powers x_i^q that present n^[q] are already its reduced grevlex
-basis, so the primal colon and ``hypersurface_is_fpure`` build that basis
-directly (``_pure_power_gb``) and run no Buchberger on n^[q].
+The pure powers x_i^q that present n^[q] are already a grevlex Groebner
+basis, so the primal colon and ``hypersurface_is_fpure`` take its reduced
+basis from ``interreduce`` and run no Buchberger on n^[q].
 
 Both routes see K only through K + n^[q], so K is built modulo n^[q]. For a
 principal I = (f), K = (f^(q-1)) (Fedder, "F-purity and rational
@@ -71,12 +72,11 @@ from .groebner import (
     _internal,
     _key_degree,
     _key_weights,
-    _monic,
     _nf,
-    _reduce_basis,
     _Working,
     buchberger,
     ideal_member,
+    interreduce,
     normal_form,
 )
 from .ideals import colon_ideal, frobenius_power, ideal_sum
@@ -246,20 +246,8 @@ def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
     return K.presentation()
 
 
-def _pure_power_gb(nq: IdealPresentation) -> ReducedGB:
-    """n^[q], presented by the pure powers x_i^q, as its own reduced grevlex basis.
-
-    Monic monomials with no lead dividing another are a reduced basis: every
-    S-polynomial of two monomials is 0. Sorted by lead key, as ``buchberger``
-    returns it, with no Buchberger run.
-    """
-    terms = [_internal(g, GREVLEX.key) for g in nq.generators]
-    terms.sort(key=lambda t: t[0][0])
-    return ReducedGB(nq.ring, GREVLEX, terms)
-
-
 def _primal_gb(nq: IdealPresentation, K: IdealPresentation) -> ReducedGB:
-    return colon_ideal(_pure_power_gb(nq), K)
+    return colon_ideal(interreduce(nq.ring, nq.generators, GREVLEX), K)
 
 
 def _dual_length(q: int, nq: IdealPresentation, K: IdealPresentation) -> int:
@@ -334,13 +322,13 @@ def hypersurface_is_fpure(f: Polynomial, e: int) -> bool:
         raise ValueError("F-purity test needs e >= 1")
     ring = f.ring
     q = ring.field.characteristic**e
-    nq = _pure_power_gb(frobenius_power(ring.variable_ideal(), e))
+    nq = interreduce(ring, frobenius_power(ring.variable_ideal(), e).generators, GREVLEX)
     return not ideal_member(f ** (q - 1), nq)
 
 
 def _socle(GA: ReducedGB, budget: int) -> tuple:
-    """The dimension of the socle (A : n)/A of S/A and one nonzero element of
-    it, monic, in normal form and working form (None when the socle is zero).
+    """The dimension of the socle (A : n)/A of S/A and one nonzero element u
+    of it, monic and in normal form mod GA (None when the socle is zero).
 
     The socle is the common kernel of multiplication by x_1..x_n on S/A,
     whose basis is the staircase of GA. The staircase is closed under
@@ -387,9 +375,8 @@ def _socle(GA: ReducedGB, budget: int) -> tuple:
     dim, v = _kernel(rows.values(), len(stairs), field)
     if v is None:
         return dim, None
-    terms = [(_key_degree(stairs[j], k0, weights)[0], stairs[j], c) for j, c in v.items()]
-    terms.sort(reverse=True)
-    return dim, _monic(terms, field)
+    u = ring.from_terms({unpack(stairs[j], n): c for j, c in v.items()})
+    return dim, u.monic(GREVLEX)
 
 
 def _kernel(rows, ncols: int, field) -> tuple:
@@ -437,15 +424,13 @@ def _kernel(rows, ncols: int, field) -> tuple:
 
 
 def _socle_bases(I: IdealPresentation, sop: tuple, budget: int) -> tuple:
-    """Reduced bases of A = I + (sop) and of (A : n), with the socle certified.
+    """The reduced basis GA of A = I + (sop) and the socle generator u of S/A.
 
     Checks that I is at the origin, that sop has as many elements as the
     Krull dimension, that S/A is Artinian and nonzero, and that its socle
-    (A : n)/A is one-dimensional (``_socle``, no colon). Then n*u lies in A
-    for the socle element u, so (A : n) = A + (u) is A plus the line of u,
-    its leading monomials are those of A and lead(u), and GA with u made
-    monic is a Groebner basis of it: ``_reduce_basis`` gives the unique
-    reduced basis, the one ``colon_ideal(GA, n)`` returns.
+    (A : n)/A is one-dimensional (``_socle``, no colon). u is monic and in
+    normal form mod GA, and (A : n) = A + k*u, so one normal form mod GA
+    checks a supplied u.
     """
     ring = I.ring
     d = _origin_dimension(I)
@@ -460,7 +445,7 @@ def _socle_bases(I: IdealPresentation, sop: tuple, budget: int) -> tuple:
     dim, u = _socle(GA, budget)
     if dim != 1:
         raise NotGorenstein(f"socle has vector-space dimension {dim}, not 1")
-    return GA, _reduce_basis(ring, GREVLEX, list(GA._terms) + [u])
+    return GA, u
 
 
 def socle_generator(I: IdealPresentation, sop, budget: int = DEFAULT_BUDGET) -> Polynomial:
@@ -470,16 +455,11 @@ def socle_generator(I: IdealPresentation, sop, budget: int = DEFAULT_BUDGET) -> 
     the Krull dimension, with Artinian quotient. Zero-dimensional rings take
     the empty sop by convention. The socle is the common kernel of the
     multiplication maps of S/(I + (sop)) on a staircase of at most ``budget``
-    monomials (``_socle``). Every element of (I + (sop)) : n reduces mod
-    I + (sop) to a multiple of one lift, and the lift returned is the first
-    nonzero normal form along the reduced basis of that colon.
+    monomials (``_socle``). The lift u returned is monic and in normal form
+    mod I + (sop), and (I + (sop)) : n = I + (sop) + k*u, so one normal form
+    checks a supplied u (``gorenstein_splitting_number``).
     """
-    GA, C = _socle_bases(I, tuple(sop), budget)
-    for g in C.basis:
-        nf = normal_form(g, GA)
-        if not nf.is_zero():
-            return nf
-    raise InternalInconsistency("one-dimensional socle produced no generator")
+    return _socle_bases(I, tuple(sop), budget)[1]
 
 
 def _gorenstein_length(B: IdealPresentation, w: Polynomial) -> int:
@@ -506,9 +486,12 @@ def gorenstein_splitting_number(
     """Splitting report via the Gorenstein route lambda(R u^q + sop^[q] / sop^[q]).
 
     Computed in the ambient ring as lambda(S / ((I + sop^[q]) : u^q)), by
-    ``_gorenstein_length``. The default u is the computed socle generator. A
-    supplied u must lie outside A = I + (sop) and inside (A : n), against
-    the same certified bases. The staircase of S/A is held to ``budget``.
+    ``_gorenstein_length``. The default u is the computed socle generator
+    u0, monic and in normal form mod A = I + (sop). As (A : n) = A + k*u0,
+    a supplied u is checked with one normal form r of u mod A: r must be
+    nonzero, and r made monic must be u0. Any accepted u = c*u0 + a, a in A,
+    gives the same lambda, as a^q lies in A^[q], inside B. The staircase of
+    S/A is held to ``budget``.
     """
     ring = I.ring
     sop = tuple(sop)
@@ -516,10 +499,11 @@ def gorenstein_splitting_number(
     if u is None:
         u = socle_generator(I, sop, budget)
     else:
-        GA, C = _socle_bases(I, sop, budget)
-        if normal_form(u, GA).is_zero():
+        GA, u0 = _socle_bases(I, sop, budget)
+        r = normal_form(u, GA)
+        if r.is_zero():
             raise InvalidSocle("supplied socle element lies in the parameter ideal")
-        if not ideal_member(u, C):
+        if r.monic(GREVLEX) != u0:
             raise InvalidSocle("supplied element does not annihilate the maximal ideal")
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
     return _make_report(I, e, _gorenstein_length(B, u.frobenius(e)), len(sop))

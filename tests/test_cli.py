@@ -375,8 +375,9 @@ def test_zero_prime_a_e_is_bounded_with_q(files, capsys):
         (("--sop", "(x, y)"), "--sop: line 1, column 3: unexpected character ','"),
         (("--sop=" + "(" * 260 + "x" + ")" * 260,), "--sop: line 1, column 101: more than 100"),
         (("--socle", "x*"), "--socle: line 1, column 3: unexpected end"),
+        (("--sop", "y^²"), "--sop: line 1, column 3: unexpected character '²'"),
     ],
-    ids=["unknown-name", "comma-in-parentheses", "deep-nesting", "socle"],
+    ids=["unknown-name", "comma-in-parentheses", "deep-nesting", "socle", "superscript-digit"],
 )
 def test_gorenstein_bad_polynomial_flags_are_usage_errors(files, capsys, flags, needle):
     code, out, err = run(capsys, "gorenstein", files["node2"], "--e", "1", *flags)

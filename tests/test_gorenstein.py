@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fsplit import (
     GREVLEX,
     CostGuardExceeded,
+    InvalidSocle,
     NotGorenstein,
     PrimeField,
     RationalFunctionField,
@@ -21,6 +22,7 @@ from fsplit import (
     buchberger,
     colon_ideal,
     gorenstein_splitting_number,
+    ideal_member,
     ideal_sum,
     normal_form,
     normalized_splitting_number,
@@ -28,21 +30,27 @@ from fsplit import (
 )
 from fsplit import groebner, ideals, splitting
 from fsplit.artinian import length
+from fsplit.groebner import interreduce
 from fsplit.ringspec import parse_polynomials
 from corpus import CORPUS, sop_polynomials
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(5), RationalFunctionField(3, ("t",))]
 
 
+def _scalar(draw, ring):
+    """A drawn nonzero constant: c in F_p, times t^k over F_3(t)."""
+    field = ring.field
+    c = ring.from_int(draw(st.integers(1, field.characteristic - 1)))
+    if field.transcendentals:
+        c = c * ring.constant(field.transcendental("t")) ** draw(st.integers(0, 2))
+    return c
+
+
 def _poly(draw, ring, max_exp, constant):
     """A drawn polynomial of up to three terms; ``constant`` allows the term 1."""
-    field = ring.field
-    p = field.characteristic
     f = ring.zero()
     for _ in range(draw(st.integers(1, 3))):
-        c = ring.from_int(draw(st.integers(1, p - 1)))
-        if field.transcendentals:
-            c = c * ring.constant(field.transcendental("t")) ** draw(st.integers(0, 2))
+        c = _scalar(draw, ring)
         exps = draw(st.tuples(*[st.integers(0, max_exp)] * ring.nvars))
         if constant or any(exps):
             f = f + c * ring.monomial(exps)
@@ -92,7 +100,9 @@ def _assert_socle_matches_the_colon(I, sop):
         with pytest.raises(NotGorenstein, match=f"dimension {socle_dim}, not 1"):
             socle_generator(I, sop)
         return
-    GA2, C = splitting._socle_bases(I, tuple(sop), 10**6)
+    # (A : n) = A + k*u: GA with the computed u is a Groebner basis of the colon
+    GA2, u = splitting._socle_bases(I, tuple(sop), 10**6)
+    C = interreduce(ring, GA2.basis + (u,), GREVLEX)
     assert (GA2, C) == (GA, colon)
     assert socle_generator(I, sop) == _reference_socle_generator(GA, colon)
 
@@ -121,6 +131,80 @@ def test_fat_point_reports_its_socle_dimension():
         socle_generator(ring.ideal(x**2, x * y, y**2), ())
     with pytest.raises(NotGorenstein, match="^socle has vector-space dimension 3, not 1$"):
         socle_generator(ring.ideal(x**3, x**2 * y, x * y**2, y**3), ())
+
+
+@st.composite
+def complete_intersections(draw):
+    """x_i^k plus terms of lower degree in n, one generator per variable, over
+    F_2, F_3, F_5 or F_3(t). The grevlex leads x_i^k are coprime, so the
+    generators are a Groebner basis of an Artinian complete intersection
+    inside n, and S/A is Gorenstein with the empty sop."""
+    field = draw(st.sampled_from(FIELDS))
+    ring = Ring(field, ("x", "y", "z")[: draw(st.sampled_from([1, 2, 3]))])
+    gens = []
+    for x in ring.gens():
+        k = draw(st.integers(1, 3))
+        g = x**k
+        for _ in range(draw(st.integers(0, 2))):
+            exps = draw(st.tuples(*[st.integers(0, k - 1)] * ring.nvars))
+            if 0 < sum(exps) < k:
+                g = g + _scalar(draw, ring) * ring.monomial(exps)
+        gens.append(g)
+    return ring.ideal(*gens)
+
+
+def _supplied_socles(draw, I, sop) -> tuple:
+    """(c*u0 + a, a, u0 + m) for u0 the computed socle generator, c a nonzero
+    scalar, a in A = I + (sop) and m a monomial with a nonzero coefficient."""
+    ring = I.ring
+    u0 = socle_generator(I, sop)
+    a = ring.zero()
+    for g in I.generators + tuple(sop):
+        if draw(st.booleans()):
+            a = a + _poly(draw, ring, 2, True) * g
+    m = ring.monomial(draw(st.tuples(*[st.integers(0, 3)] * ring.nvars)))
+    return _scalar(draw, ring) * u0 + a, a, u0 + _scalar(draw, ring) * m
+
+
+def _takes_supplied_socle(I, sop, u) -> bool:
+    """Whether ``gorenstein_splitting_number`` takes u, held to the colon: it
+    must take u exactly when u is outside A and inside (A : n), and then give
+    the lambda of the computed socle at e = 1, 2; else raise the matching
+    InvalidSocle."""
+    ring = I.ring
+    GA = buchberger(ideal_sum(I, ring.ideal(*sop)), GREVLEX)
+    if normal_form(u, GA).is_zero():
+        reason = "supplied socle element lies in the parameter ideal"
+    elif not ideal_member(u, colon_ideal(GA, ring.variable_ideal())):
+        reason = "supplied element does not annihilate the maximal ideal"
+    else:
+        for e in (1, 2):
+            want = gorenstein_splitting_number(I, sop, e)
+            assert gorenstein_splitting_number(I, sop, e, u) == want, (e, u)
+        return True
+    with pytest.raises(InvalidSocle, match=f"^{reason}$"):
+        gorenstein_splitting_number(I, sop, 1, u)
+    return False
+
+
+def _assert_supplied_socles(draw, I, sop):
+    scaled, in_A, moved = _supplied_socles(draw, I, sop)
+    assert _takes_supplied_socle(I, sop, scaled)
+    assert not _takes_supplied_socle(I, sop, in_A)
+    _takes_supplied_socle(I, sop, moved)
+
+
+@pytest.mark.parametrize("entry", [e for e in CORPUS if e.gorenstein], ids=lambda e: e.name)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_supplied_socle_is_checked_against_the_colon_on_the_corpus(entry, data):
+    _assert_supplied_socles(data.draw, entry.ideal, sop_polynomials(entry))
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_intersections(), st.data())
+def test_supplied_socle_is_checked_against_the_colon_on_complete_intersections(A, data):
+    _assert_supplied_socles(data.draw, A, ())
 
 
 # (field, variables, ideal, sop, socle generator, lambda at e = 1, 2); the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from fsplit import (
@@ -234,3 +236,29 @@ def test_nesting_up_to_the_bound_parses():
 def test_overlong_integer_is_a_parse_error():
     with pytest.raises(ParseError, match="5000 digits"):
         parse_polynomial(R3, "x + " + "1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [("x^²", 3), ("²*x", 1), ("y + ٣*x", 5), ("x^1٣", 4)],
+    ids=["superscript-exponent", "superscript-coefficient", "arabic-indic-coefficient",
+         "arabic-indic-in-an-exponent"],
+)
+def test_only_ascii_digits_are_integers(text, col):
+    # str.isdigit and int() also accept superscripts and other scripts' digits
+    with pytest.raises(ParseError, match=f"^line 1, column {col}: unexpected character") as info:
+        parse_polynomial(R3, text)
+    assert (info.value.line, info.value.column) == (1, col)
+    assert repr(text[col - 1]) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "char", ["1_1", "٣", "+3", "-3", "3 3"],
+    ids=["underscore", "arabic-indic", "plus-sign", "minus-sign", "inner-space"],
+)
+def test_characteristic_is_ascii_digits_only(char):
+    # int() would read 1_1 as 11 and ٣ as 3
+    message = f"line 2, column 8: characteristic {char!r} is not an integer"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_ring_spec(f"vars = x\nchar = {char}\nideal = x")
+    assert parse_ring_spec("vars = x\nchar = 11\nideal = x").ring.field == PrimeField(11)

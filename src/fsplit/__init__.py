@@ -74,12 +74,10 @@ from .ringspec import RingSpec, parse_polynomial, parse_ring_spec
 from .splitting import (
     SignatureEstimate,
     SplittingReport,
-    dual_splitting_length,
     f_signature_sequence,
     gorenstein_splitting_number,
     hypersurface_is_fpure,
     normalized_splitting_number,
-    regularity_test,
     socle_generator,
     splitting_ideal,
 )

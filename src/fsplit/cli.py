@@ -1,5 +1,9 @@
 """Command-line surface: parse ring-spec files, dispatch, emit JSON reports.
 
+Flags set the exponents, the budget, the primes and chains to probe and the
+thresholds, read as a ring file reads such values (ASCII digits, the prime
+and chain grammar); the ring file sets all else, the sop and socle included.
+
 Exit codes: 0 success, 1 usage (including a flag value that the ring-file
 grammar refuses), 2 a bad ring file or a mathematical precondition failure,
 3 budget exceeded. All reports carry "schema": "fsplit/1"; a timestamp is
@@ -13,21 +17,20 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, CostGuardExceeded, FsplitError, MissingFlag
-from .localization import semicontinuity_scan
-from .ringspec import (
-    RingSpec,
-    parse_chain,
-    parse_polynomial,
-    parse_polynomials,
-    parse_prime,
-    parse_ring_spec,
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    CostGuardExceeded,
+    FsplitError,
+    MissingFlag,
+    excerpt,
 )
+from .localization import semicontinuity_scan
+from .ringspec import _DIGITS, RingSpec, parse_chain, parse_prime, parse_ring_spec
 from .splitting import (
     f_signature_sequence,
     gorenstein_splitting_number,
@@ -38,7 +41,7 @@ SCHEMA = "fsplit/1"
 
 
 class _UsageError(Exception):
-    """A flag or environment value that argparse does not check."""
+    """A flag value that argparse does not check."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,22 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("ringfile", help="path to a ring-spec file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="standard-monomial budget (default: FSPLIT_BUDGET or 10^6)")
+        p.add_argument("--budget", default=DEFAULT_BUDGET,
+                       help="standard-monomial budget (default: 10^6)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field for byte-reproducible output")
 
     p_se = sub.add_parser("se", help="normalized splitting numbers at the origin")
     common(p_se)
     group = p_se.add_mutually_exclusive_group(required=True)
-    group.add_argument("--e", type=int, help="single Frobenius exponent")
-    group.add_argument("--emax", type=int, help="report e = 0..emax with tail extrema")
+    group.add_argument("--e", help="single Frobenius exponent")
+    group.add_argument("--emax", help="report e = 0..emax with tail extrema")
 
     p_probe = sub.add_parser("probe", help="localization and semicontinuity scan")
     common(p_probe)
     p_probe.add_argument("--primes", required=True,
                          help="pipe-separated primes, each as in a file's 'prime', e.g. 'x|x,z|0'")
-    p_probe.add_argument("--e", type=int, required=True)
+    p_probe.add_argument("--e", required=True)
     p_probe.add_argument("--thresholds", required=True,
                          help="comma-separated rationals, e.g. '0,1/2,3/4,1'")
     p_probe.add_argument("--chains", default=None,
@@ -80,45 +83,31 @@ def _build_parser() -> argparse.ArgumentParser:
                               "'C1|x<x,y'; runs the monotonicity check, which needs "
                               "equidimensional = true")
 
-    p_gor = sub.add_parser("gorenstein", help="splitting number via a system of parameters")
+    p_gor = sub.add_parser("gorenstein", help="splitting number via the file's sop and socle")
     common(p_gor)
-    p_gor.add_argument("--e", type=int, required=True)
-    p_gor.add_argument("--sop", default=None,
-                       help="system of parameters as a file's 'sop' takes it (default: file sop)")
-    p_gor.add_argument("--socle", default=None,
-                       help="socle generator lift (default: file socle hint, else computed)")
+    p_gor.add_argument("--e", required=True)
 
     return parser
 
 
-def _budget(args) -> int:
-    """The budget from --budget, else FSPLIT_BUDGET, else the default; at least 1."""
-    budget, source = args.budget, "--budget"
-    if budget is None:
-        env = os.environ.get("FSPLIT_BUDGET")
-        if not env:
-            return DEFAULT_BUDGET
-        source = "FSPLIT_BUDGET"
+def _check_flags(args) -> None:
+    """Read --e, --emax and --budget as a ring file reads integers, each at least its floor."""
+    for name, least in (("e", 0), ("emax", 1), ("budget", 1)):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
         try:
-            budget = int(env)
+            if not set(str(text).removeprefix("-")) <= _DIGITS:
+                raise ValueError
+            value = int(text)  # also refuses "", "-" and more digits than int() reads
         except ValueError:
-            raise _UsageError(f"FSPLIT_BUDGET must be an integer, got {env!r}") from None
-    if budget < 1:
-        raise _UsageError(f"{source} must be positive, got {budget}")
-    return budget
-
-
-def _check_exponents(args) -> None:
-    e, emax = getattr(args, "e", None), getattr(args, "emax", None)
-    if e is not None and e < 0:
-        raise _UsageError(f"--e must be nonnegative, got {e}")
-    if emax is not None and emax < 1:
-        raise _UsageError(f"--emax must be positive, got {emax}")
-
-
-def _load(args) -> RingSpec:
-    with open(args.ringfile, encoding="utf-8") as handle:
-        return parse_ring_spec(handle.read())
+            raise _UsageError(
+                f"--{name} must be an integer in ASCII digits, got {excerpt(repr(text))}"
+            ) from None
+        if value < least:
+            floor = "nonnegative" if least == 0 else "positive"
+            raise _UsageError(f"--{name} must be {floor}, got {value}")
+        setattr(args, name, value)
 
 
 def _ring_summary(spec: RingSpec) -> dict:
@@ -139,17 +128,20 @@ def _flag(name: str):
         raise _UsageError(f"{name}: {exc}") from None
 
 
-def _cmd_se(args, spec: RingSpec, budget: int) -> dict:
+def _cmd_se(args, spec: RingSpec) -> dict:
     if args.e is not None:
-        return normalized_splitting_number(spec.ideal, args.e, budget).to_json_obj()
-    return f_signature_sequence(spec.ideal, args.emax, budget).to_json_obj()
+        return normalized_splitting_number(spec.ideal, args.e, args.budget).to_json_obj()
+    return f_signature_sequence(spec.ideal, args.emax, args.budget).to_json_obj()
 
 
-def _cmd_probe(args, spec: RingSpec, budget: int) -> dict:
+def _cmd_probe(args, spec: RingSpec) -> dict:
     with _flag("--primes"):
         primes = [parse_prime(spec.ring, tok, spec.primes) for tok in args.primes.split("|")]
     try:
-        thresholds = [Fraction(tok.strip()) for tok in args.thresholds.split(",")]
+        tokens = [tok.strip() for tok in args.thresholds.split(",")]
+        if not all(set(tok) <= _DIGITS.union("+-/.eE") for tok in tokens):
+            raise ValueError
+        thresholds = [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
     chains = ()
@@ -164,19 +156,13 @@ def _cmd_probe(args, spec: RingSpec, budget: int) -> dict:
                 "monotonicity checks need 'equidimensional = true' in the ring file"
             )
     return semicontinuity_scan(
-        spec.ideal, primes, args.e, thresholds, budget, chains=chains
+        spec.ideal, primes, args.e, thresholds, args.budget, chains=chains
     ).to_json_obj()
 
 
-def _cmd_gorenstein(args, spec: RingSpec, budget: int) -> dict:
-    sop, socle = spec.sop or (), spec.socle
-    if args.sop is not None:
-        with _flag("--sop"):
-            sop = parse_polynomials(spec.ring, args.sop)
-    if args.socle is not None:
-        with _flag("--socle"):
-            socle = parse_polynomial(spec.ring, args.socle)
-    report = gorenstein_splitting_number(spec.ideal, sop, args.e, socle, budget)
+def _cmd_gorenstein(args, spec: RingSpec) -> dict:
+    sop = spec.sop or ()
+    report = gorenstein_splitting_number(spec.ideal, sop, args.e, spec.socle, args.budget)
     return {"sop": [str(f) for f in sop], **report.to_json_obj()}
 
 
@@ -194,11 +180,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_exponents(args)
-        spec = _load(args)
-        budget = _budget(args)
+        _check_flags(args)
+        with open(args.ringfile, encoding="utf-8") as handle:
+            spec = parse_ring_spec(handle.read())
         payload = {"schema": SCHEMA, "command": args.command, "ring": _ring_summary(spec)}
-        payload.update(_DISPATCH[args.command](args, spec, budget))
+        payload.update(_DISPATCH[args.command](args, spec))
         if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         json.dump(payload, sys.stdout, indent=2)

@@ -11,6 +11,12 @@ from __future__ import annotations
 DEFAULT_BUDGET = 10**6
 
 
+def excerpt(value, limit: int = 60) -> str:
+    """str(value), cut to ``limit`` characters so a refusal stays one short line."""
+    text = str(value)
+    return text if len(text) <= limit else text[:limit] + " ..."
+
+
 class FsplitError(Exception):
     """Base class for all errors raised by this package."""
 

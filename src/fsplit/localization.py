@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, FsplitError, NotContaining
+from .errors import DEFAULT_BUDGET, FsplitError, NotContaining, excerpt
 from .fields import PrimeField, RatFunc, RationalFunctionField
 from .poly import GREVLEX, IdealPresentation, Ring
 from .splitting import SplittingReport, normalized_splitting_number
@@ -54,10 +54,10 @@ def _verify_containment(I: IdealPresentation, P: CoordinatePrime) -> None:
     if unknown:
         raise NotContaining(f"{sorted(unknown)} are not ring variables")
     idx = [i for i, v in enumerate(I.ring.variables) if v in names]
-    for g in I.nonzero_generators():
+    for k, g in enumerate(I.nonzero_generators(), start=1):
         for exps, _ in g.terms:
             if all(exps[i] == 0 for i in idx):
-                raise NotContaining(f"generator {g} does not lie in {P}")
+                raise NotContaining(f"generator {k} ({excerpt(g)}) does not lie in {P}")
 
 
 def localize_at_coordinate_prime(I: IdealPresentation, P: CoordinatePrime):

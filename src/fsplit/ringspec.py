@@ -7,20 +7,19 @@ semicolons, with ``#`` comments. Recognized keys:
     vars = x, y
     transcendentals = t1, t2          # optional
     ideal = y^2 - x^3, x*y            # comma-separated generators; 0 or empty for (0)
-    equidimensional = true            # optional flags, default false
-    connected = true
+    equidimensional = true            # optional flag, default false
     prime NAME = x, y                 # named coordinate primes (parse_prime)
     chain NAME = P1 < P2 < P3         # named chains (parse_chain)
-    sop = x + y                       # optional system-of-parameters hint
-    socle = x                         # optional socle generator hint
+    sop = x + y                       # optional system of parameters (Gorenstein route)
+    socle = x                         # optional socle generator for that route
 
 Polynomial expressions support + - * ^, integer coefficients (reduced mod p),
 parentheses, and unary minus, nested at most MAX_NESTING deep; identifiers
 are ring variables or transcendentals. Unknown keys are rejected.
 
-``parse_prime``, ``parse_chain`` and ``parse_polynomials`` read one value
-each; the statements above and the CLI's ``--primes``, ``--chains`` and
-``--sop`` flags all go through them, so a flag takes exactly what a file does.
+``parse_prime`` and ``parse_chain`` read one value each; the statements
+above and the CLI's ``--primes`` and ``--chains`` flags both go through them,
+so a flag takes exactly what a file does.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class RingSpec:
     ring: Ring
     ideal: IdealPresentation
     equidimensional: bool = False
-    connected: bool = False
     primes: dict = dataclass_field(default_factory=dict)
     chains: dict = dataclass_field(default_factory=dict)
     sop: tuple | None = None
@@ -247,7 +245,6 @@ _KNOWN_KEYS = {
     "transcendentals",
     "ideal",
     "equidimensional",
-    "connected",
     "sop",
     "socle",
 }
@@ -265,21 +262,13 @@ def _names(value: str, lineno: int, kind: str):
     return names
 
 
-def _boolean(value: str, lineno: int) -> bool:
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ParseError(f"expected true/false, found {value!r}", lineno)
-
-
 def parse_ring_spec(text: str) -> RingSpec:
     """Parse a full ring-spec file into (ring, ideal, metadata)."""
     char = None
     vars_: list | None = None
     transcendentals: list = []
     raw: dict = {}
-    flags = {"equidimensional": False, "connected": False}
+    equidimensional = False
     prime_stmts = []
     chain_stmts = []
 
@@ -308,9 +297,10 @@ def parse_ring_spec(text: str) -> RingSpec:
         elif key == "transcendentals":
             transcendentals = _names(value, lineno, "transcendental")
             raw[key] = transcendentals
-        elif key in ("equidimensional", "connected"):
-            flags[key] = _boolean(value, lineno)
-            raw[key] = flags[key]
+        elif key == "equidimensional":
+            if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+                raise ParseError(f"expected true/false, found {value!r}", lineno)
+            equidimensional = raw[key] = value.lower() in ("true", "yes", "1")
         else:
             raw[key] = (value, lineno, col)
 
@@ -344,8 +334,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     return RingSpec(
         ring=ring,
         ideal=ideal,
-        equidimensional=flags["equidimensional"],
-        connected=flags["connected"],
+        equidimensional=equidimensional,
         primes=primes,
         chains=chains,
         sop=sop,

@@ -66,6 +66,7 @@ from .errors import (
     NotArtinian,
     NotContaining,
     NotGorenstein,
+    excerpt,
 )
 from .groebner import (
     ReducedGB,
@@ -166,8 +167,11 @@ def _origin_dimension(I: IdealPresentation) -> int:
     G = buchberger(I, GREVLEX)
     if G.is_unit_ideal():
         raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
-    if any(not any(g.terms[-1][0]) for g in I.nonzero_generators()):
-        raise NotContaining(f"{I} is not contained in the ideal of the origin")
+    for i, g in enumerate(I.nonzero_generators(), start=1):
+        if not any(g.terms[-1][0]):
+            raise NotContaining(
+                f"generator {i} ({excerpt(g)}) is not contained in the ideal of the origin"
+            )
     return krull_dimension(G)
 
 
@@ -261,13 +265,6 @@ def splitting_ideal(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) 
     return _primal_gb(frobenius_power(I.ring.variable_ideal(), e), _colon_multiplier(I, e))
 
 
-def dual_splitting_length(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> int:
-    """lambda((K + n^[q]) / n^[q]) as q^n minus a staircase count."""
-    q = _guard(I.ring, e, budget)
-    _origin_dimension(I)
-    return _dual_length(q, frobenius_power(I.ring.variable_ideal(), e), _colon_multiplier(I, e))
-
-
 def normalized_splitting_number(
     I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET
 ) -> SplittingReport:
@@ -303,13 +300,6 @@ def _make_report(I: IdealPresentation, e: int, lam: int, d: int) -> SplittingRep
             f"{I} in {I.ring!r} at e = {e}: s_e = {s} exceeds 1 (lambda = {lam}, dim = {d})"
         )
     return SplittingReport(e, q, lam, d, a, s, int(a_e))
-
-
-def regularity_test(I: IdealPresentation, e: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff s_e = 1, for e >= 1; detects regularity at the origin."""
-    if e < 1:
-        raise ValueError("the regularity criterion needs e >= 1")
-    return normalized_splitting_number(I, e, budget).s_e == 1
 
 
 def hypersurface_is_fpure(f: Polynomial, e: int) -> bool:
@@ -557,9 +547,7 @@ __all__ = [
     "SplittingReport",
     "SignatureEstimate",
     "splitting_ideal",
-    "dual_splitting_length",
     "normalized_splitting_number",
-    "regularity_test",
     "hypersurface_is_fpure",
     "socle_generator",
     "gorenstein_splitting_number",

@@ -1,4 +1,4 @@
-"""CLI surface: JSON shapes, exit codes, determinism, env overrides."""
+"""CLI surface: JSON shapes, exit codes, determinism, one place for each input."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ char = 2
 vars = x, y, z
 ideal = x*y
 equidimensional = true
-connected = true
 prime Px = x
 prime Pxz = x, z
 prime Pxy = x, y
@@ -32,6 +31,7 @@ chain C2 = Pxy < Pall
 """
 CUSP5 = "char = 5\nvars = x, y\nideal = y^2 - x^3\n"
 ZERO = "char = 3\nvars = x, y\nideal = 0\n"
+ZERO_SOP = ZERO + "sop = x, y\n"
 
 
 @pytest.fixture
@@ -42,6 +42,7 @@ def files(tmp_path):
         ("node3", NODE3),
         ("cusp5", CUSP5),
         ("zero", ZERO),
+        ("zero_sop", ZERO_SOP),
     ):
         path = tmp_path / f"{name}.ring"
         path.write_text(text, encoding="utf-8")
@@ -156,9 +157,7 @@ def test_gorenstein_routes(files, capsys):
     code, out, _ = run(capsys, "gorenstein", files["node2"], "--e", "1", "--no-timestamp")
     payload = json.loads(out)
     assert code == 0 and payload["s_e"] == "1/2"
-    code, out, _ = run(
-        capsys, "gorenstein", files["zero"], "--sop", "x,y", "--e", "1", "--no-timestamp"
-    )
+    code, out, _ = run(capsys, "gorenstein", files["zero_sop"], "--e", "1", "--no-timestamp")
     assert code == 0 and json.loads(out)["s_e"] == "1"
 
 
@@ -180,7 +179,7 @@ def test_usage_errors_exit_1(files, capsys):
     for argv in (
         ("se", files["node2"]),  # missing --e/--emax
         (),  # missing subcommand
-        ("gorenstein", files["node2"], "--e", "1", "--sop", "-x"),  # -x read as an option
+        ("gorenstein", files["node2"], "--e", "1", "--sop", "x"),  # not a flag; the file sets it
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
@@ -208,19 +207,12 @@ def test_char_beyond_certified_primes_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "2^64" in err
 
 
-def test_budget_env_exit_3(files, capsys, monkeypatch):
-    monkeypatch.setenv("FSPLIT_BUDGET", "10")
-    code, _, err = run(capsys, "se", files["node2"], "--e", "3")
-    assert code == 3 and "budget" in err
-
-
 @pytest.mark.parametrize(
     "command, flags",
     [("se", ()), ("gorenstein", ()), ("probe", ("--primes", "x,y", "--thresholds", "0"))],
 )
-def test_huge_e_is_a_budget_refusal(files, capsys, monkeypatch, command, flags):
+def test_huge_e_is_a_budget_refusal(files, capsys, command, flags):
     # q^n = 2^10000: refused by its bit length, never printed in full
-    monkeypatch.delenv("FSPLIT_BUDGET", raising=False)
     code, out, err = run(capsys, command, files["node2"], "--e", "5000", *flags)
     assert code == 3 and out == ""
     assert err.splitlines() == ["fsplit: budget: q^n = 2^10000 exceeds the "
@@ -228,10 +220,15 @@ def test_huge_e_is_a_budget_refusal(files, capsys, monkeypatch, command, flags):
 
 
 def test_budget_flag_beats_env(files, capsys, monkeypatch):
+    # --budget is the one place for the budget: the variable is not read
     monkeypatch.setenv("FSPLIT_BUDGET", "10")
     code, out, _ = run(capsys, "se", files["node2"], "--e", "3", "--budget", "10000",
                        "--no-timestamp")
     assert code == 0 and json.loads(out)["s_e"] == "1/8"
+    code, out, _ = run(capsys, "se", files["node2"], "--e", "3", "--no-timestamp")
+    assert code == 0 and json.loads(out)["s_e"] == "1/8"
+    code, _, err = run(capsys, "se", files["node2"], "--e", "3", "--budget", "10")
+    assert code == 3 and "budget" in err
 
 
 def test_deterministic_bytes(files, capsys):
@@ -274,27 +271,34 @@ def test_json_roundtrip_value_identity(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env, needle",
+    "argv, needle",
     [
-        (("--e", "-1"), None, "--e must be nonnegative"),
-        (("--emax", "0"), None, "--emax must be positive"),
-        (("--e", "1"), "lots", "FSPLIT_BUDGET must be an integer"),
-        (("--e", "1", "--budget", "-1"), None, "--budget must be positive"),
-        (("--e", "0"), "0", "FSPLIT_BUDGET must be positive"),
+        (("--e", "-1"), "--e must be nonnegative"),
+        (("--emax", "0"), "--emax must be positive"),
+        (("--e", "1", "--budget", "-1"), "--budget must be positive"),
+        (("--e", "0", "--budget", "0"), "--budget must be positive"),
+        (("--e", "\u0663"), "--e must be an integer in ASCII digits, got '\u0663'"),
+        (("--emax", "\uff13"), "--emax must be an integer in ASCII digits"),
+        (("--e", "1", "--budget", "1_0"), "--budget must be an integer in ASCII digits"),
+        (("--e", "+1"), "--e must be an integer in ASCII digits"),
+        (("--e", "1", "--budget", "lots"), "--budget must be an integer in ASCII digits"),
     ],
-    ids=["negative-e", "zero-emax", "non-integer-budget-env", "negative-budget",
-         "zero-budget-env"],
+    ids=["negative-e", "zero-emax", "negative-budget", "zero-budget", "arabic-indic-e",
+         "fullwidth-emax", "underscore-budget", "plus-sign-e", "non-integer-budget"],
 )
-def test_se_bad_values_are_usage_errors(files, capsys, monkeypatch, argv, env, needle):
-    if env is not None:
-        monkeypatch.setenv("FSPLIT_BUDGET", env)
+def test_se_bad_values_are_usage_errors(files, capsys, argv, needle):
     code, out, err = run(capsys, "se", files["node2"], *argv)
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith("fsplit: error: ") and needle in err
 
 
-@pytest.mark.parametrize("thresholds", ["abc", "1/0"], ids=["not-a-number", "zero-denominator"])
+@pytest.mark.parametrize(
+    "thresholds",
+    ["abc", "1/0", "0,\u0663/4", "1_0", "0,1/\uff12"],
+    ids=["not-a-number", "zero-denominator", "arabic-indic-digit", "underscore",
+         "fullwidth-digit"],
+)
 def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
     code, out, err = run(
         capsys, "probe", files["node3"], "--primes", "x", "--e", "1", "--thresholds", thresholds
@@ -344,10 +348,9 @@ def test_successive_calls_share_one_parser(files, capsys):
     assert _build_parser.cache_info().misses == 1
 
 
-def test_zero_prime_huge_e_is_a_budget_refusal(files, capsys, monkeypatch):
+def test_zero_prime_huge_e_is_a_budget_refusal(files, capsys):
     # no variable is left at the zero prime, so q^n = 1; q = 3^10000 itself
     # is refused rather than printed
-    monkeypatch.delenv("FSPLIT_BUDGET", raising=False)
     code, out, err = run(
         capsys, "probe", files["zero"], "--primes", "0", "--e", "10000", "--thresholds", "0"
     )
@@ -369,21 +372,43 @@ def test_zero_prime_a_e_is_bounded_with_q(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, needle",
+    "lines, needle",
     [
-        (("--sop", "x+w"), "--sop: line 1, column 3: unknown name 'w'"),
-        (("--sop", "(x, y)"), "--sop: line 1, column 3: unexpected character ','"),
-        (("--sop=" + "(" * 260 + "x" + ")" * 260,), "--sop: line 1, column 101: more than 100"),
-        (("--socle", "x*"), "--socle: line 1, column 3: unexpected end"),
-        (("--sop", "y^²"), "--sop: line 1, column 3: unexpected character '²'"),
+        ("sop = x+w", "line 4, column 9: unknown name 'w'"),
+        ("sop = (x, y)", "line 4, column 9: unexpected character ','"),
+        ("sop = " + "(" * 260 + "x" + ")" * 260, "line 4, column 107: more than 100"),
+        ("sop = x + y\nsocle = x*", "line 5, column 11: unexpected end"),
+        ("sop = y^²", "line 4, column 9: unexpected character '²'"),
     ],
     ids=["unknown-name", "comma-in-parentheses", "deep-nesting", "socle", "superscript-digit"],
 )
-def test_gorenstein_bad_polynomial_flags_are_usage_errors(files, capsys, flags, needle):
-    code, out, err = run(capsys, "gorenstein", files["node2"], "--e", "1", *flags)
-    assert code == 1 and out == ""
+def test_gorenstein_bad_polynomial_statements_exit_2(tmp_path, capsys, lines, needle):
+    path = tmp_path / "bad.ring"
+    path.write_text(f"char = 2\nvars = x, y\nideal = x*y\n{lines}\n", encoding="utf-8")
+    code, out, err = run(capsys, "gorenstein", str(path), "--e", "1")
+    assert code == 2 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith(f"fsplit: error: {needle}")
+
+
+@pytest.mark.parametrize(
+    "command, ideal, flags, position",
+    [
+        ("se", "(x + y + 1)^200", (), 1),
+        ("probe", "(x + y + z)^40*(x + y + 1) - x", ("--primes", "z", "--thresholds", "0"), 1),
+        ("se", "z, 0, (x + y + 1)^200", (), 2),
+    ],
+    ids=["se-off-the-origin", "probe-outside-the-prime", "se-second-nonzero-generator"],
+)
+def test_a_refusal_names_a_long_generator_by_position(
+    tmp_path, capsys, command, ideal, flags, position
+):
+    path = tmp_path / "long.ring"
+    path.write_text(f"char = 3\nvars = x, y, z\nideal = {ideal}\n", encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "--e", "1", *flags)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert len(err.encode()) < 300 and f"generator {position} " in err
 
 
 def test_deep_nesting_in_a_ring_file_exit_2(tmp_path, capsys):
@@ -496,8 +521,20 @@ def test_a_chain_flag_and_a_chain_statement_agree(text):
 
 
 @given(_polynomial_lists)
-def test_a_sop_flag_and_a_sop_statement_agree(text):
-    call = ["--e", "1", "--budget", "1000", "--no-timestamp"]
-    _flag_and_file_agree(
-        f"sop = {text}", ["gorenstein", f"--sop={text}", *call], ["gorenstein", *call], "--sop",
-    )
+def test_a_sop_statement_gives_a_report_or_one_refusal_line(text):
+    # the sop has one place, the ring file: a value its grammar refuses exits 2
+    with tempfile.TemporaryDirectory() as tmp:
+        stated = Path(tmp) / "stated.ring"
+        stated.write_text(GRAMMAR_BASE + f"sop = {text}\n", encoding="utf-8")
+        code, out, err = _run_quietly(
+            ["gorenstein", str(stated), "--e", "1", "--budget", "1000", "--no-timestamp"]
+        )
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    else:
+        assert json.loads(out)["schema"] == "fsplit/1"
+    try:
+        parse_ring_spec(GRAMMAR_BASE + f"sop = {text}")
+    except FsplitError as exc:
+        assert code == 2 and err == f"fsplit: error: {exc}\n"

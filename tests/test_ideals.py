@@ -19,7 +19,6 @@ from fsplit import (
     ZeroDivisorColon,
     buchberger,
     colon_ideal,
-    dual_splitting_length,
     frobenius_power,
     ideal_member,
     ideal_sum,
@@ -186,7 +185,7 @@ def test_cusp_at_two_truncates_to_zero(e):
     assert _without_high_terms((y**2 - x**3) ** (2**e - 1), 2**e).is_zero()
     assert _colon_multiplier(I, e) == nq
     assert splitting_ideal(I, e).is_unit_ideal()
-    assert dual_splitting_length(I, e) == 0
+    assert normalized_splitting_number(I, e).splitting_length == 0
 
 
 def test_containment_properties():

@@ -68,12 +68,18 @@ def test_comments_and_separators():
     # a comment line
     char = 3        # trailing comment
     vars = x, y ; ideal = x^2 - y^2
-    connected = true; equidimensional = true
+    sop = x; equidimensional = true
     """
     spec = parse_ring_spec(text)
-    assert spec.connected and spec.equidimensional
     x, y = spec.ring.gens()
+    assert spec.sop == (x,) and spec.equidimensional
     assert spec.ideal.generators == (x**2 - y**2,)
+
+
+def test_connected_is_an_unknown_key():
+    # no check reads connectedness, so a file cannot state it
+    with pytest.raises(ParseError, match="unknown key 'connected'"):
+        parse_ring_spec("char=2; vars=x; ideal=x; connected = true")
 
 
 def test_zero_ideal_forms():
@@ -100,7 +106,6 @@ def test_primes_chains_sop_socle():
     vars = x, y, z
     ideal = x*y
     equidimensional = true
-    connected = true
     prime Px = x
     prime Pxy = x, y
     prime Pall = x, y, z

@@ -23,7 +23,6 @@ from fsplit import (
     Ring,
     SplittingReport,
     buchberger,
-    dual_splitting_length,
     f_signature_sequence,
     frobenius_power,
     gorenstein_splitting_number,
@@ -31,7 +30,6 @@ from fsplit import (
     ideal_member,
     normal_form,
     normalized_splitting_number,
-    regularity_test,
     socle_generator,
     splitting_ideal,
 )
@@ -67,11 +65,12 @@ def test_normalized_examples():
 
 
 def test_dual_examples():
+    # the report raises InternalInconsistency unless the dual length agrees
     x2, y2 = R2.gens()
-    assert dual_splitting_length(R2.ideal(), 1) == 4
-    assert dual_splitting_length(R2.ideal(x2 * y2), 1) == 1
+    assert normalized_splitting_number(R2.ideal(), 1).splitting_length == 4
+    assert normalized_splitting_number(R2.ideal(x2 * y2), 1).splitting_length == 1
     x5, y5 = R5.gens()
-    assert dual_splitting_length(R5.ideal(y5**2 - x5**3), 1) == 0
+    assert normalized_splitting_number(R5.ideal(y5**2 - x5**3), 1).splitting_length == 0
 
 
 R3 = Ring(PrimeField(3), ("x", "y"))
@@ -82,7 +81,6 @@ def _routes(sop):
     return (
         normalized_splitting_number,
         splitting_ideal,
-        dual_splitting_length,
         lambda I, e, budget: gorenstein_splitting_number(I, sop, e, budget=budget),
         lambda I, e, budget: gorenstein_splitting_number(I, sop, e, u=sop[0], budget=budget),
     )
@@ -198,20 +196,22 @@ def test_corpus_pinned_values():
 
 
 def test_regularity_examples():
-    assert regularity_test(R5.ideal(), 1)
+    # s_e = 1 at some e >= 1 iff the local ring at the origin is regular
+    assert normalized_splitting_number(R5.ideal(), 1).s_e == 1
     x2, y2 = R2.gens()
-    assert not regularity_test(R2.ideal(x2 * y2), 1)
+    assert normalized_splitting_number(R2.ideal(x2 * y2), 1).s_e != 1
     R3 = Ring(PrimeField(3), ("x", "y"))
-    assert regularity_test(R3.ideal(R3.var("x")), 1)
-    with pytest.raises(ValueError):
-        regularity_test(R5.ideal(), 0)
+    assert normalized_splitting_number(R3.ideal(R3.var("x")), 1).s_e == 1
+    # e = 0 tells nothing: s_0 = 1 for the node too
+    assert normalized_splitting_number(R2.ideal(x2 * y2), 0).s_e == 1
 
 
 def test_regularity_same_answer_for_e1_e2():
     for entry in CORPUS:
         if entry.ring.nvars > 2:
             continue
-        assert regularity_test(entry.ideal, 1) == regularity_test(entry.ideal, 2), entry.name
+        regular = [normalized_splitting_number(entry.ideal, e).s_e == 1 for e in (1, 2)]
+        assert regular[0] == regular[1], entry.name
 
 
 def test_fpurity_dichotomy_on_hypersurfaces():
@@ -469,8 +469,7 @@ def test_zero_variable_ring(field, e):
     I = ring.ideal()
     J = splitting_ideal(I, e)
     assert not J.basis and J.basis == ()
-    assert dual_splitting_length(I, e) == 1
-    rep = normalized_splitting_number(I, e)
+    rep = normalized_splitting_number(I, e)  # its dual length is held equal to this one
     assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
     # n = (0) annihilates all of S/I = k, so the socle is k, spanned by 1
     assert socle_generator(I, ()) == ring.one()

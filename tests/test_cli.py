@@ -219,6 +219,14 @@ def test_huge_e_is_a_budget_refusal(files, capsys, command, flags):
                                 "standard-monomial budget 1000000"]
 
 
+def test_budget_env_exit_3(files, capsys, monkeypatch):
+    # a budget of 10 stops e = 3 with exit 3; it is set by --budget, since a
+    # set FSPLIT_BUDGET is not read
+    monkeypatch.setenv("FSPLIT_BUDGET", "10")
+    code, _, err = run(capsys, "se", files["node2"], "--e", "3", "--budget", "10")
+    assert code == 3 and "budget" in err
+
+
 def test_budget_flag_beats_env(files, capsys, monkeypatch):
     # --budget is the one place for the budget: the variable is not read
     monkeypatch.setenv("FSPLIT_BUDGET", "10")
@@ -227,8 +235,6 @@ def test_budget_flag_beats_env(files, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["s_e"] == "1/8"
     code, out, _ = run(capsys, "se", files["node2"], "--e", "3", "--no-timestamp")
     assert code == 0 and json.loads(out)["s_e"] == "1/8"
-    code, _, err = run(capsys, "se", files["node2"], "--e", "3", "--budget", "10")
-    assert code == 3 and "budget" in err
 
 
 def test_deterministic_bytes(files, capsys):

@@ -93,9 +93,12 @@ class CostGuardExceeded(FsplitError):
 
 
 class ParseError(FsplitError):
-    """Ring-spec text could not be parsed; carries line and column."""
+    """Ring-spec text could not be parsed; carries line and column (0 when unknown)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}" if line else message)
+        if line:
+            where = f"line {line}, column {column}" if column else f"line {line}"
+            message = f"{where}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column

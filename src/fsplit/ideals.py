@@ -20,8 +20,11 @@ exact:
 * (I : f) = (I : f + i) for every i in I, since h*f and h*(f + i) differ by
   h*i, which lies in I. So ``colon_ideal`` replaces each generator f of J by
   its normal form modulo the reduced grevlex basis of I, and skips an f that
-  reduces to 0, for which (I : f) = S. For the primal colon n^[q] : K this
-  drops every term of K with an exponent >= q before any elimination.
+  reduces to 0, for which (I : f) = S. An f that reduces to a nonzero
+  constant is a unit, so (I : f) = I, which lies in every other (I : g):
+  the colon is I, and that basis is returned with no elimination. For the
+  primal colon n^[q] : K this drops every term of K with an exponent >= q
+  before any elimination, and at e = 0, where K = S, it returns n itself.
 
 The quotients h/f over the reduced grevlex basis of I cap (f) are a Groebner
 basis of (I : f): for g in (I : f), lead(f*g) = lead(f)*lead(g) is divisible
@@ -207,11 +210,13 @@ def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | Reduced
             f = _nf(f, basis, leads, field, guard)  # (I : f) = (I : f + i) for i in I
         if not f:
             continue  # f in I, so (I : f) = S
+        if f[0][1] == 0:
+            return gb  # f is a unit, so (I : f) = I, inside every other (I : g)
         f = _monic(f, field)
         inter = intersect(I, ReducedGB(ring, GREVLEX, (f,)))
         quotients = [_divide(ring, GREVLEX, h, f) for h in inter._terms]
-        gb = _reduce_basis(ring, GREVLEX, quotients)
-        result = gb if result is None else intersect(result, gb)
+        colon = _reduce_basis(ring, GREVLEX, quotients)
+        result = colon if result is None else intersect(result, colon)
     if result is None:  # every f lies in I: the unit ideal, one constant term
         return ReducedGB(ring, GREVLEX, ([(GREVLEX.key((0,) * ring.nvars), 0, field.one())],))
     return result

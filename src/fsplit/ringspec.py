@@ -53,6 +53,15 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | _DIGITS
 
 
+def _integer(digits: str, line: int, col: int) -> int:
+    """int() of a run of ASCII digits, a ParseError past Python's limit on
+    int-from-str digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", line, col) from None
+
+
 class _Tokens:
     """Expression tokenizer carrying (line, column) for error messages."""
 
@@ -72,10 +81,7 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j] in _DIGITS:
                     j += 1
-                try:
-                    self.toks.append(("int", int(text[i:j]), line, col))
-                except ValueError:  # past Python's limit on int-from-str digits
-                    raise ParseError(f"integer of {j - i} digits is too long", line, col) from None
+                self.toks.append(("int", _integer(text[i:j], line, col), line, col))
                 i = j
             elif ch in _IDENT_START:
                 j = i
@@ -288,7 +294,7 @@ def parse_ring_spec(text: str) -> RingSpec:
         if key == "char":
             if not value or not set(value) <= _DIGITS:
                 raise ParseError(f"characteristic {value!r} is not an integer", lineno, col)
-            char = int(value)
+            char = _integer(value, lineno, col)
             check_characteristic(char)
             raw[key] = char
         elif key == "vars":

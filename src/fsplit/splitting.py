@@ -18,6 +18,22 @@ length lambda is local to the origin, but dim is the global Krull dimension
 of S/I, so s_e is wrong when a component of V(I) away from the origin has a
 larger dimension than every one through it; two strict xfails pin this,
 ``test_local_value_at_the_origin`` and ``test_local_value_at_a_prime``.
+
+After that set-up, ``_eliminate_linear`` solves out linear variables: while
+some generator is c*x_i + h, with c a nonzero field element, x_i in no other
+term of it and h a single term or zero, x_i := -h/c goes into the other
+generators, and that generator and x_i are dropped. This is a ring
+isomorphism S/I = S'/I', and h has no constant term (the origin check has
+run), so it keeps the origin and the local ring there. Every reported number
+is an invariant of R = S/I: lambda = lambda(R/I_e), with I_e the image of
+n^[q] : (I^[q] : I) (Fedder), dim is the Krull dimension of R, and alpha
+and q are those of the field. So both routes run, and must agree, on the
+smaller ring. Localizing a hypersurface such as ad - bc at a coordinate
+prime in its regular locus leaves such a generator, and that probe row runs
+on the zero ideal of a ring with one variable fewer. ``_guard`` still
+refuses on the given ring, before any elimination, and ``splitting_ideal``
+and the Gorenstein route keep the given presentation.
+
 A Gorenstein route through a system of parameters and a socle generator u
 of S/A, A = I + (sop), is an independent cross-check with no colon and no
 elimination. Its length lambda(S / (B : w)), B = I + sop^[q] and w = u^q,
@@ -175,6 +191,79 @@ def _origin_dimension(I: IdealPresentation) -> int:
     return krull_dimension(G)
 
 
+def _eliminate_linear(I: IdealPresentation, e: int) -> IdealPresentation:
+    """I with its linear variables solved out, by the rule in the module docstring.
+
+    A power x_i^k becomes the single term (-h/c)^k, so no generator gains a
+    term. A variable is kept when its substitution would give an exponent a
+    with a*q past 2^16 - 1, q = p^e, so forming I^[q], as the colon route
+    does for two or more generators, overflows only where it does for the
+    given presentation. Returns I itself when nothing is solved.
+    """
+    ring = I.ring
+    field = ring.field
+    # p^16 >= 2^16, so the bound is 0 from e = 16 on, with no huge power
+    limit = (EXPONENT_LIMIT - 1) // field.characteristic ** min(e, 16)
+    gens = [g.terms for g in I.nonzero_generators()]
+    solved = []
+    j = 0
+    while j < len(gens):
+        rest = gens[:j] + gens[j + 1 :]
+        for i, image in _linear_solutions(gens[j], field):
+            images = [_substitute(g, i, image, field, limit) for g in rest]
+            if None not in images:
+                gens = [g for g in images if g]
+                solved.append(i)
+                j = 0
+                break
+        else:
+            j += 1
+    if not solved:
+        return I
+    keep = [i for i in range(ring.nvars) if i not in solved]
+    small = Ring(field, [ring.variables[i] for i in keep], ring.order)
+    return IdealPresentation(
+        small,
+        [small.from_terms({tuple(x[i] for i in keep): c for x, c in g}) for g in gens],
+    )
+
+
+def _linear_solutions(terms: tuple, field):
+    """Each (i, image) that reads terms as c*x_i + h with x_i not in h, h one
+    term or zero; image is (exponents, coefficient) of -h/c, or None for h = 0."""
+    if len(terms) > 2:
+        return
+    for k, (x, c) in enumerate(terms):
+        if sum(x) != 1:
+            continue
+        i = x.index(1)
+        if len(terms) == 1:
+            yield i, None
+            continue
+        hx, hc = terms[1 - k]
+        if not hx[i]:
+            yield i, (hx, field.neg(field.div(hc, c)))
+
+
+def _substitute(terms: tuple, i: int, image, field, limit: int) -> tuple | None:
+    """terms with x_i := image (None for 0), or None when a substituted
+    exponent would pass ``limit``; the result is a term tuple in no fixed order."""
+    acc: dict = {}
+    for x, c in terms:
+        k = x[i]
+        if k:
+            if image is None:
+                continue
+            hx, r = image
+            x = tuple(0 if v == i else a + k * b for v, (a, b) in enumerate(zip(x, hx)))
+            if max(x) > limit:
+                return None
+            c = field.mul(c, field.pow(r, k))
+        old = acc.get(x)
+        acc[x] = c if old is None else field.add(old, c)
+    return tuple((x, c) for x, c in acc.items() if not field.is_zero(c))
+
+
 def _truncated_power(f: Polynomial, e: int) -> Polynomial:
     """f^(q-1) with every term that has an exponent >= q dropped, q = p^e.
 
@@ -270,7 +359,8 @@ def normalized_splitting_number(
 ) -> SplittingReport:
     """SplittingReport at the origin; primal and dual lengths must agree exactly."""
     q = _guard(I.ring, e, budget)
-    return _splitting_report(I, e, q, _origin_dimension(I))
+    d = _origin_dimension(I)
+    return _splitting_report(_eliminate_linear(I, e), e, q, d)
 
 
 def _splitting_report(I: IdealPresentation, e: int, q: int, d: int) -> SplittingReport:
@@ -504,8 +594,9 @@ def f_signature_sequence(
 ) -> SignatureEstimate:
     """Reports for e = 0..e_max with tail extrema over e >= 1 and positivity.
 
-    Frobenius is flat on S, so lambda_(e+1) <= p^n * lambda_e; a step that
-    breaks the bound raises InternalInconsistency.
+    Frobenius is flat on S, so lambda_(e+1) <= p^n * lambda_e, with n the
+    variables left after ``_eliminate_linear``; a step that breaks the bound
+    raises InternalInconsistency.
     """
     if e_max < 1:
         raise ValueError("e_max must be positive")
@@ -518,12 +609,13 @@ def f_signature_sequence(
             raise CostGuardExceeded(
                 str(exc), partial=_assemble_estimate(tuple(reports))
             ) from exc
-        if e == 0:
-            d = _origin_dimension(I)  # once per sweep, after the first guard
-        rep = _splitting_report(I, e, q, d)
+        if e == 0:  # once per sweep, after the first guard
+            d = _origin_dimension(I)
+            J = _eliminate_linear(I, e_max)
+        rep = _splitting_report(J, e, q, d)
         if reports:
             prev = reports[-1].splitting_length
-            bound = ring.field.characteristic**ring.nvars * prev
+            bound = ring.field.characteristic**J.ring.nvars * prev
             if rep.splitting_length > bound:
                 raise InternalInconsistency(
                     f"{I} in {ring!r}: lambda_{e} = {rep.splitting_length} exceeds "

@@ -417,6 +417,24 @@ def test_a_refusal_names_a_long_generator_by_position(
     assert len(err.encode()) < 300 and f"generator {position} " in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("char = 2\nvars = x, y\nideal = x*y\nconnected = true\n",
+         "line 4: unknown key 'connected'"),
+        ("char = " + "1" * 5000 + "\nvars = x\nideal = x\n",
+         "line 1, column 8: integer of 5000 digits is too long"),
+    ],
+    ids=["statement-level-no-column", "characteristic-too-long"],
+)
+def test_ring_file_refusals_are_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ring"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "se", str(path), "--e", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"fsplit: error: {message}"]
+
+
 def test_deep_nesting_in_a_ring_file_exit_2(tmp_path, capsys):
     path = tmp_path / "nest.ring"
     path.write_text("char = 2\nvars = x, y\nideal = " + "(" * 260 + "x" + ")" * 260 + "\n",

@@ -20,7 +20,11 @@ from fsplit import (
     normalized_splitting_number,
     s_e_at_prime,
     semicontinuity_scan,
+    splitting_ideal,
 )
+from fsplit.artinian import length
+from fsplit.ringspec import parse_polynomial
+from fsplit.splitting import _eliminate_linear
 from corpus import BY_NAME, CORPUS
 
 R23 = Ring(PrimeField(2), ("x", "y", "z"))
@@ -69,6 +73,38 @@ def test_s_e_at_prime_values():
     for names, (s, dim, a) in expectations.items():
         rep = s_e_at_prime(NODE3, CoordinatePrime(names), 1)
         assert (rep.s_e, rep.dim, rep.alpha) == (s, dim, a), names
+
+
+ADBC3 = Ring(PrimeField(3), ("a", "b", "c", "d"))
+QUAD3 = Ring(PrimeField(3), ("x", "y", "z"))
+
+# the regular rows of the benchmark's probe scans: localize_at_coordinate_prime
+# is public, so its ring and generators stay as they are; s_e_at_prime solves a
+# linear variable out of them afterwards
+REGULAR_ROWS = [
+    (ADBC3, "a*d - b*c", ("a", "b"), "F_3(c,d)[a,b]", "a + ((2*c)/(d))*b", 1),
+    (ADBC3, "a*d - b*c", ("a", "c"), "F_3(b,d)[a,c]", "a + ((2*b)/(d))*c", 1),
+    (ADBC3, "a*d - b*c", ("a", "b", "c"), "F_3(d)[a,b,c]", "b*c + 2*d*a", 2),
+    (QUAD3, "x^2 - y*z", ("x", "y"), "F_3(z)[x,y]", "x^2 + 2*z*y", 1),
+    (QUAD3, "x^2 - y*z", ("x", "z"), "F_3(y)[x,z]", "x^2 + 2*y*z", 1),
+]
+
+
+@pytest.mark.parametrize("ring, ideal, names, localized, generator, left", REGULAR_ROWS,
+                         ids=[",".join(row[2]) for row in REGULAR_ROWS])
+@pytest.mark.parametrize("e", [1, 2])
+def test_regular_rows_solve_out_a_variable(ring, ideal, names, localized, generator, left, e):
+    I = ring.ideal(parse_polynomial(ring, ideal))
+    P = CoordinatePrime(names)
+    new_ring, I_p = localize_at_coordinate_prime(I, P)
+    assert (repr(new_ring), [str(g) for g in I_p.generators]) == (localized, [generator])
+    # one variable and the generator go: the zero ideal in `left` variables
+    small = _eliminate_linear(I_p, e)
+    assert small.ring.nvars == left and small.nonzero_generators() == ()
+    rep = s_e_at_prime(I, P, e)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (3 ** (e * left), left, 1)
+    # splitting_ideal keeps the given presentation: an independent length
+    assert rep.splitting_length == length(splitting_ideal(I_p, e))
 
 
 def test_full_prime_matches_origin_route():

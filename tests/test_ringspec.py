@@ -77,9 +77,18 @@ def test_comments_and_separators():
 
 
 def test_connected_is_an_unknown_key():
-    # no check reads connectedness, so a file cannot state it
-    with pytest.raises(ParseError, match="unknown key 'connected'"):
+    # no check reads connectedness, so a file cannot state it; a statement-level
+    # error knows its line but no column, and prints no column
+    with pytest.raises(ParseError, match="^line 1: unknown key 'connected'$") as info:
         parse_ring_spec("char=2; vars=x; ideal=x; connected = true")
+    assert (info.value.line, info.value.column) == (1, 0)
+
+
+def test_characteristic_past_the_int_digit_limit_is_a_parse_error():
+    # int() refuses more than 4,300 digits; the tokenizer's error is raised instead
+    message = "line 2, column 8: integer of 5000 digits is too long"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_ring_spec("vars = x\nchar = " + "1" * 5000 + "\nideal = x")
 
 
 def test_zero_ideal_forms():

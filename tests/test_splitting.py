@@ -34,6 +34,7 @@ from fsplit import (
     splitting_ideal,
 )
 from fsplit import splitting
+from fsplit.artinian import length
 from fsplit.groebner import interreduce
 from corpus import CORPUS, sop_polynomials
 
@@ -551,6 +552,58 @@ def test_metamorphic_relations(case, e, data):
         images.append(v)
     moved = base.ideal(*(_substituted(base, g, images) for g in gens))
     assert normalized_splitting_number(moved, e) == rep
+    # a solved-out variable: S[w]/(I, w - c*m) = S/I for a monomial m of positive
+    # degree or m = 0, so the solved ring must give the same numbers, and
+    # splitting_ideal, which keeps the given presentation, the same length
+    m = data.draw(st.one_of(st.just(None), st.tuples(*[st.integers(0, 2)] * n).filter(any)))
+    for field, same in ((PrimeField(p), rep), (ft.field, over_t)):
+        ring = Ring(field, names)
+        old, w = ring.gens()[:n], ring.gens()[n]
+        c = ring.constant(field.transcendental("t")) if field.transcendentals else ring.one()
+        image = ring.zero() if m is None else c * ring.monomial(m + (0,))
+        I = ring.ideal(*(_substituted(ring, g, old) for g in gens), w - image)
+        assert splitting._eliminate_linear(I, e).ring.nvars < ring.nvars
+        got = normalized_splitting_number(I, e)
+        assert got == same
+        assert got.splitting_length == length(splitting_ideal(I, e))
+
+
+def test_eliminate_linear_rules():
+    R = Ring(PrimeField(3), ("x", "y", "z"))
+    x, y, z = R.gens()
+    solve = splitting._eliminate_linear
+    # x_i in h, h of two terms, no term c*x_i alone: nothing is solved
+    for I in (R.ideal(y - y**2), R.ideal(x - y**2 - z**2), R.ideal(x * y - x * z)):
+        assert solve(I, 1) is I
+    Ryz, Ry = Ring(PrimeField(3), ("y", "z")), Ring(PrimeField(3), ("y",))
+    y2, z2 = Ryz.gens()
+    (y1,) = Ry.gens()
+    # x := y^2 into z^2 - x*y; a lone 2*x sends x to 0
+    assert solve(R.ideal(x - y**2, z**2 - x * y), 1) == Ryz.ideal(z2**2 - y2**3)
+    assert solve(R.ideal(2 * x, x * y + z**3), 1) == Ryz.ideal(z2**3)
+    # a generator that qualifies only after a substitution: x := y*z leaves z
+    # of z - x + y*z, and then z := 0
+    assert solve(R.ideal(x - y * z, z - x + y * z, x**2 + y**5), 1) == Ry.ideal(y1**5)
+    # x := y^2 would take x^40000*z to y^80000*z, past 16-bit exponents: x is kept
+    I = R.ideal(x - y**2, x**40000 * z)
+    assert solve(I, 0) is I
+    # ... while z, solved from the other generator, still goes
+    I = R.ideal(x - y**2, z - x**40000)
+    assert solve(I, 0) == Ring(PrimeField(3), ("y",)).ideal()
+
+
+def test_eliminate_linear_keeps_the_bracket_power_in_range():
+    # x := y^300 takes x^200*z to y^60000*z; I^[2] of the given presentation
+    # has exponents up to 400, of the solved one 120000: x is kept at e >= 1
+    R = Ring(PrimeField(2), ("x", "y", "z"))
+    x, y, z = R.gens()
+    I = R.ideal(x - y**300, x**200 * z, z**2)
+    assert splitting._eliminate_linear(I, 1) is I
+    assert splitting._eliminate_linear(I, 0).ring.variables == ("y", "z")
+    rep = normalized_splitting_number(I, 1)
+    assert (rep.splitting_length, rep.dim) == (0, 1)
+    sweep = f_signature_sequence(I, 2)
+    assert [r.splitting_length for r in sweep.reports] == [1, 0, 0]
 
 
 # -- the product relation: disjoint variables multiply lengths -------------------

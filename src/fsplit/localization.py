@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, FsplitError, NotContaining, excerpt
+from .errors import DEFAULT_BUDGET, FsplitError, NotContaining
 from .fields import PrimeField, RatFunc, RationalFunctionField
 from .poly import GREVLEX, IdealPresentation, Ring
-from .splitting import SplittingReport, normalized_splitting_number
+from .splitting import SplittingReport, _require_in_prime, normalized_splitting_number
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ def _verify_containment(I: IdealPresentation, P: CoordinatePrime) -> None:
     if unknown:
         raise NotContaining(f"{sorted(unknown)} are not ring variables")
     idx = [i for i, v in enumerate(I.ring.variables) if v in names]
-    for k, g in enumerate(I.nonzero_generators(), start=1):
-        for exps, _ in g.terms:
-            if all(exps[i] == 0 for i in idx):
-                raise NotContaining(f"generator {k} ({excerpt(g)}) does not lie in {P}")
+    _require_in_prime(I.nonzero_generators(), idx, "generator", f"does not lie in {P}")
 
 
 def localize_at_coordinate_prime(I: IdealPresentation, P: CoordinatePrime):

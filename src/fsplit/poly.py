@@ -342,6 +342,17 @@ def format_terms(a, names, field) -> str:
     return " + ".join(parts) or "0"
 
 
+def _binary_power(f, k: int):
+    """f^k by repeated squaring."""
+    out = f.ring.one()
+    while k:
+        if k & 1:
+            out = out * f
+        k >>= 1
+        f = f * f if k else f
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial; terms sorted descending under the ring order."""
 
@@ -433,15 +444,26 @@ class Polynomial:
         return Polynomial(self.ring, scale_terms(self.terms, c, field))
 
     def __pow__(self, k: int):
+        """f^k = prod_i (f^(k_i))^[p^i] over the base-p digits k_i of k, in
+        characteristic p, by binary powering inside one digit.
+
+        The largest exponent of x_j in f^k is k times that in f, as S is a
+        domain, so an overflow is refused up front with those exponents.
+        """
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = self.ring.one()
-        base = self
+        if self.terms:
+            tops = tuple(k * max(col) for col in zip(*(e for e, _ in self.terms)))
+            if any(a >= EXPONENT_LIMIT for a in tops):
+                raise ExponentOverflow(f"power overflows 16-bit exponents: largest {tops}")
+        p = self.ring.field.characteristic
+        out, i = self.ring.one(), 0
         while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+            k, digit = divmod(k, p)
+            if digit:
+                g = _binary_power(self, digit)
+                out = out * g.frobenius(i) if i else g
+            i += 1
         return out
 
     def frobenius(self, e: int) -> "Polynomial":

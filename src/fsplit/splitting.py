@@ -42,13 +42,15 @@ comes from the exact sequence
   0 -> S/(B : w) -(*w)-> S/B -> S/(B + (w)) -> 0
 
 as lambda(S/B) - lambda(S/(B + (w))): two grevlex bases and two staircase
-counts. S/B is Artinian, as it has the radical of S/A. The socle of S/A is
-the common kernel of multiplication by x_1..x_n on its staircase, by
-Gaussian elimination over the coefficient field; u comes out monic and in
-normal form mod A, and (A : n) = A + k*u, so one normal form checks a
-supplied u. This socle work runs once per call. The route shares only
-grevlex Buchberger and the staircase count with the colon route, on a
-different ideal.
+counts. S/B is Artinian, as it has the radical of S/A. Each sop element,
+as each generator of I, must lie in n, so n/A is a prime, hence an
+associated one, of the Artinian ring S/A, and its socle (A : n)/A is not
+zero. It is the common kernel of multiplication by x_1..x_n on the
+staircase, by Gaussian elimination over the coefficient field; u comes out
+monic and in normal form mod A, and (A : n) = A + k*u, so one normal form
+checks a supplied u, and the computed u is the one used. This socle work
+runs once per call. The route shares only grevlex Buchberger and the
+staircase count with the colon route, on a different ideal.
 
 The pure powers x_i^q that present n^[q] are already a grevlex Groebner
 basis, so the primal colon and ``hypersurface_is_fpure`` take its reduced
@@ -177,18 +179,22 @@ def _origin_dimension(I: IdealPresentation) -> int:
     """Global dim S/I from one reduced grevlex basis of I, with the origin on V(I).
 
     The unit ideal raises NotArtinian, and a proper I with a constant term in
-    a generator NotContaining; 1 is the smallest monomial under every order,
-    so that is a constant last term.
+    a generator NotContaining.
     """
     G = buchberger(I, GREVLEX)
     if G.is_unit_ideal():
         raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
-    for i, g in enumerate(I.nonzero_generators(), start=1):
-        if not any(g.terms[-1][0]):
-            raise NotContaining(
-                f"generator {i} ({excerpt(g)}) is not contained in the ideal of the origin"
-            )
+    _require_in_prime(I.nonzero_generators(), range(I.ring.nvars), "generator")
     return krull_dimension(G)
+
+
+def _require_in_prime(polys, idx, what: str, where="is not contained in the ideal of the origin"):
+    """Raise NotContaining, naming it by position, for the first of ``polys``
+    outside the prime of the variables at positions ``idx``: a polynomial
+    lies in that prime iff each of its terms involves one of them."""
+    for k, g in enumerate(polys, start=1):
+        if any(not any(x[i] for i in idx) for x, _ in g.terms):
+            raise NotContaining(f"{what} {k} ({excerpt(g)}) {where}")
 
 
 def _eliminate_linear(I: IdealPresentation, e: int) -> IdealPresentation:
@@ -407,8 +413,8 @@ def hypersurface_is_fpure(f: Polynomial, e: int) -> bool:
 
 
 def _socle(GA: ReducedGB, budget: int) -> tuple:
-    """The dimension of the socle (A : n)/A of S/A and one nonzero element u
-    of it, monic and in normal form mod GA (None when the socle is zero).
+    """The dimension of the socle (A : n)/A of S/A, nonzero as A lies in n,
+    and one nonzero element u of it, monic and in normal form mod GA.
 
     The socle is the common kernel of multiplication by x_1..x_n on S/A,
     whose basis is the staircase of GA. The staircase is closed under
@@ -453,15 +459,13 @@ def _socle(GA: ReducedGB, budget: int) -> tuple:
             for mr, c in image:
                 rows.setdefault((i, index[mr]), {})[j] = c
     dim, v = _kernel(rows.values(), len(stairs), field)
-    if v is None:
-        return dim, None
     u = ring.from_terms({unpack(stairs[j], n): c for j, c in v.items()})
     return dim, u.monic(GREVLEX)
 
 
 def _kernel(rows, ncols: int, field) -> tuple:
-    """The dimension of {v in k^ncols : row . v = 0 for every row} and one
-    nonzero v in it (None when it is zero), rows and v as {column: coefficient}
+    """The dimension of the nonzero space {v in k^ncols : row . v = 0 for
+    every row} and one nonzero v in it, rows and v as {column: coefficient}
     dicts, by Gaussian elimination.
 
     Each pivot row is monic in its pivot, its least column, so subtracting it
@@ -490,8 +494,6 @@ def _kernel(rows, ncols: int, field) -> tuple:
                     else:
                         row[col] = c
     free = [col for col in range(ncols) if col not in pivots]
-    if not free:
-        return 0, None
     v = {free[0]: field.one()}
     for p in sorted(pivots, reverse=True):
         acc = field.zero()
@@ -506,22 +508,21 @@ def _kernel(rows, ncols: int, field) -> tuple:
 def _socle_bases(I: IdealPresentation, sop: tuple, budget: int) -> tuple:
     """The reduced basis GA of A = I + (sop) and the socle generator u of S/A.
 
-    Checks that I is at the origin, that sop has as many elements as the
-    Krull dimension, that S/A is Artinian and nonzero, and that its socle
-    (A : n)/A is one-dimensional (``_socle``, no colon). u is monic and in
-    normal form mod GA, and (A : n) = A + k*u, so one normal form mod GA
+    Checks that I and every sop element are at the origin, that sop has as
+    many elements as the Krull dimension, that S/A is Artinian, and that its
+    socle (A : n)/A is one-dimensional (``_socle``, no colon). u is monic and
+    in normal form mod GA, and (A : n) = A + k*u, so one normal form mod GA
     checks a supplied u.
     """
     ring = I.ring
     d = _origin_dimension(I)
     if len(sop) != d:
         raise NotArtinian(f"sop has {len(sop)} elements but the quotient has dimension {d}")
+    _require_in_prime(sop, range(ring.nvars), "sop element")
     A = ideal_sum(I, IdealPresentation(ring, sop))
     GA = buchberger(A, GREVLEX)
     if not is_artinian(GA):
         raise NotArtinian("the parameter ideal does not cut down to dimension zero")
-    if GA.is_unit_ideal():
-        raise NotArtinian("the parameter ideal is the unit ideal")
     dim, u = _socle(GA, budget)
     if dim != 1:
         raise NotGorenstein(f"socle has vector-space dimension {dim}, not 1")
@@ -532,12 +533,12 @@ def socle_generator(I: IdealPresentation, sop, budget: int = DEFAULT_BUDGET) -> 
     """A lift of the socle generator of S/(I + (sop)); errors if not Gorenstein.
 
     ``sop`` must be a system of parameters at the origin: as many elements as
-    the Krull dimension, with Artinian quotient. Zero-dimensional rings take
-    the empty sop by convention. The socle is the common kernel of the
-    multiplication maps of S/(I + (sop)) on a staircase of at most ``budget``
-    monomials (``_socle``). The lift u returned is monic and in normal form
-    mod I + (sop), and (I + (sop)) : n = I + (sop) + k*u, so one normal form
-    checks a supplied u (``gorenstein_splitting_number``).
+    the Krull dimension, each in n, with Artinian quotient. Zero-dimensional
+    rings take the empty sop by convention. The socle is the common kernel of
+    the multiplication maps of S/(I + (sop)) on a staircase of at most
+    ``budget`` monomials (``_socle``). The lift u returned is monic and in
+    normal form mod I + (sop), and (I + (sop)) : n = I + (sop) + k*u, so one
+    normal form checks a supplied u (``gorenstein_splitting_number``).
     """
     return _socle_bases(I, tuple(sop), budget)[1]
 
@@ -566,18 +567,18 @@ def gorenstein_splitting_number(
     """Splitting report via the Gorenstein route lambda(R u^q + sop^[q] / sop^[q]).
 
     Computed in the ambient ring as lambda(S / ((I + sop^[q]) : u^q)), by
-    ``_gorenstein_length``. The default u is the computed socle generator
-    u0, monic and in normal form mod A = I + (sop). As (A : n) = A + k*u0,
-    a supplied u is checked with one normal form r of u mod A: r must be
-    nonzero, and r made monic must be u0. Any accepted u = c*u0 + a, a in A,
-    gives the same lambda, as a^q lies in A^[q], inside B. The staircase of
-    S/A is held to ``budget``.
+    ``_gorenstein_length``, with u the computed socle generator u0, monic
+    and in normal form mod A = I + (sop). As (A : n) = A + k*u0, a supplied
+    u is checked with one normal form r of u mod A: r must be nonzero, and r
+    made monic must be u0. It is not computed with: any accepted
+    u = c*u0 + a, a in A, gives the same lambda as u0, as a^q lies in A^[q],
+    inside B. The staircase of S/A is held to ``budget``.
     """
     ring = I.ring
     sop = tuple(sop)
     _guard(ring, e, budget)
     if u is None:
-        u = socle_generator(I, sop, budget)
+        u0 = socle_generator(I, sop, budget)
     else:
         GA, u0 = _socle_bases(I, sop, budget)
         r = normal_form(u, GA)
@@ -586,7 +587,7 @@ def gorenstein_splitting_number(
         if r.monic(GREVLEX) != u0:
             raise InvalidSocle("supplied element does not annihilate the maximal ideal")
     B = ideal_sum(I, frobenius_power(IdealPresentation(ring, sop), e))
-    return _make_report(I, e, _gorenstein_length(B, u.frobenius(e)), len(sop))
+    return _make_report(I, e, _gorenstein_length(B, u0.frobenius(e)), len(sop))
 
 
 def f_signature_sequence(

@@ -424,10 +424,32 @@ def test_a_refusal_names_a_long_generator_by_position(
          "line 4: unknown key 'connected'"),
         ("char = " + "1" * 5000 + "\nvars = x\nideal = x\n",
          "line 1, column 8: integer of 5000 digits is too long"),
+        *(
+            (f"char = 2\nvars = x, y\n{text}\n", message)
+            for text, message in [
+                ("ideal = x^y", "line 3, column 11: exponent must be a nonnegative integer"),
+                ("ideal = (x y)", "line 3, column 12: expected ')'"),
+                ("ideal = x y", "line 3, column 11: trailing input 'y'"),
+                ("ideal x*y", "line 3, column 1: expected 'key = value'"),
+                ("ideal = x*y\ntranscendentals = t, 2s",
+                 "line 4: invalid transcendental name '2s'"),
+                ("ideal = x*y\nideal = x", "line 4: duplicate key 'ideal'"),
+                ("ideal = x*y\nequidimensional = maybe",
+                 "line 4: expected true/false, found 'maybe'"),
+                ("ideal = x*y\nprime P = x\nprime P = y", "line 5: duplicate prime name 'P'"),
+                ("ideal = x*y\nchain C = x < x, y\nchain C = y < x, y",
+                 "line 5: duplicate chain name 'C'"),
+            ]
+        ),
     ],
-    ids=["statement-level-no-column", "characteristic-too-long"],
+    ids=[
+        "statement-level-no-column", "characteristic-too-long", "exponent", "close-paren",
+        "trailing", "no-equals", "name", "duplicate-key", "boolean", "duplicate-prime",
+        "duplicate-chain",
+    ],
 )
 def test_ring_file_refusals_are_one_line(tmp_path, capsys, text, message):
+    # each names its line, and the column where the parser has one
     path = tmp_path / "bad.ring"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "se", str(path), "--e", "1")

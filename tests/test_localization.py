@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fsplit.localization
 from fsplit import (
@@ -16,7 +17,9 @@ from fsplit import (
     RationalFunctionField,
     Ring,
     SplittingReport,
+    buchberger,
     localize_at_coordinate_prime,
+    normal_form,
     normalized_splitting_number,
     s_e_at_prime,
     semicontinuity_scan,
@@ -56,11 +59,34 @@ def test_localize_zero_prime():
 
 
 def test_not_containing():
-    with pytest.raises(NotContaining):
+    with pytest.raises(NotContaining, match=r"^generator 1 \(x\*y\) does not lie in \(z\)$"):
         localize_at_coordinate_prime(NODE3, CoordinatePrime(("z",)))
+    with pytest.raises(NotContaining, match=r"^\['w'\] are not ring variables$"):
+        localize_at_coordinate_prime(NODE3, CoordinatePrime(("w",)))
     ring, ideal = localize_at_coordinate_prime(NODE3, CoordinatePrime(("x",)))
     assert ring.field == RationalFunctionField(2, ("y", "z"))
     assert [str(g) for g in ideal.generators] == ["x"]
+
+
+@settings(max_examples=300)
+@given(
+    st.sets(st.integers(0, 2)),
+    st.lists(st.tuples(st.integers(1, 2), st.tuples(*[st.integers(0, 2)] * 3)), max_size=4),
+)
+def test_containment_is_membership_in_the_prime(idx, terms):
+    # the one containment rule, held to a normal form mod the prime's basis
+    ring = Ring(PrimeField(3), ("x", "y", "z"))
+    g = ring.zero()
+    for c, exps in terms:
+        g = g + c * ring.monomial(exps)
+    P = CoordinatePrime(tuple(ring.variables[i] for i in sorted(idx)))
+    inside = normal_form(g, buchberger(ring.ideal(*(ring.gens()[i] for i in idx)))).is_zero()
+    try:
+        fsplit.localization._verify_containment(ring.ideal(g), P)
+    except NotContaining:
+        assert not inside
+    else:
+        assert inside
 
 
 def test_s_e_at_prime_values():
@@ -165,6 +191,26 @@ def test_a_rising_chain_fails_the_scan(monkeypatch):
     assert report.to_json_obj()["monotonicity"][0] == {
         "chain": [["x"], ["x", "y"]], "values": ["1/2", "1"], "monotone": False,
     }
+
+
+def test_a_threshold_set_open_under_generization_fails_the_scan(monkeypatch):
+    # s_e above r at (x, y) but not at (x), inside it: both threshold sets
+    # hold (x, y) without (x), so neither is closed and the scan fails
+    values = {("x",): Fraction(1, 4), ("x", "y"): Fraction(1)}
+
+    def fake(I, P, e, budget):
+        return SplittingReport(e, 2**e, 0, 0, 0, values[P.variables], 0)
+
+    monkeypatch.setattr(fsplit.localization, "s_e_at_prime", fake)
+    primes = [CoordinatePrime(("x",)), CoordinatePrime(("x", "y"))]
+    report = semicontinuity_scan(NODE3, primes, 1, [Fraction(1, 2)])
+    verdict = report.thresholds[0]
+    assert verdict.strict_members == verdict.weak_members == (primes[1],)
+    assert not verdict.strict_closed and not verdict.weak_closed
+    obj = report.to_json_obj()
+    assert obj["passed"] is False
+    open_set = {"members": [["x", "y"]], "generization_closed": False}
+    assert obj["thresholds"][0]["strict"] == obj["thresholds"][0]["weak"] == open_set
 
 
 def test_scan_localizes_each_distinct_prime_once(monkeypatch):

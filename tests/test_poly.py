@@ -53,12 +53,48 @@ def test_ring_mismatch():
 
 
 def test_exponent_overflow():
-    x, _ = R2.gens()
+    x, y = R2.gens()
     f = x ** 60000
     with pytest.raises(ExponentOverflow):
         f * f
     with pytest.raises(ExponentOverflow):
         x.frobenius(17)  # 2^17 > 16-bit range
+    # a power names the largest exponent of each variable in f^k
+    with pytest.raises(ExponentOverflow, match=r"largest \(70000, 0\)$"):
+        x ** 70000
+    with pytest.raises(ExponentOverflow, match=r"largest \(80000, 40000\)$"):
+        (x**2 + y + 1) ** 40000
+
+
+POWER_FIELDS = [
+    PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
+    RationalFunctionField(2, ("t",)), RationalFunctionField(3, ("t",)),
+]
+
+
+@st.composite
+def powers(draw):
+    """(f, k): f with up to four terms in x, y over F_p or F_p(t), with
+    coefficients a + b*t, and k up to min(p^3 + 2, 40), so k has up to four
+    base-p digits."""
+    field = draw(st.sampled_from(POWER_FIELDS))
+    ring = Ring(field, ("x", "y"), draw(st.sampled_from([GREVLEX, LEX])))
+    p = field.characteristic
+    t = ring.constant(field.transcendental("t")) if field.transcendentals else ring.zero()
+    f = ring.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        c = ring.from_int(draw(st.integers(0, p - 1))) + draw(st.integers(0, p - 1)) * t
+        f = f + c * ring.monomial(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    return f, draw(st.integers(0, min(p**3 + 2, 40)))
+
+
+@given(powers())
+def test_power_by_base_p_digits_is_repeated_multiplication(power):
+    f, k = power
+    want = f.ring.one()
+    for _ in range(k):
+        want = want * f
+    assert f**k == want
 
 
 # exponents near both ends of the 16-bit range, so divisibility goes both ways

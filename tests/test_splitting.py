@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,62 @@ def test_supplied_socle_is_validated():
         gorenstein_splitting_number(node, (x2 + y2,), 1, u=x2 + y2)  # lies in the ideal
     with pytest.raises(InvalidSocle):
         gorenstein_splitting_number(node, (x2 + y2,), 1, u=R2.one())  # not annihilated
+
+
+@pytest.mark.parametrize(
+    "I, sop, position",
+    [
+        (R2.ideal(R2.var("x") * R2.var("y")), "y + 1", 1),
+        (R2.ideal(R2.var("x") * R2.var("y")), "x + 1", 1),
+        (R2.ideal(R2.var("x") * R2.var("y")), "1", 1),
+        (R2.ideal(), "x, y + 1", 2),
+    ],
+    ids=["y+1", "x+1", "one", "second"],
+)
+def test_sop_off_the_origin_is_refused_before_a_basis_of_A(monkeypatch, I, sop, position):
+    # with I and every sop element in n, S/(I + sop) has the origin and a
+    # nonzero socle; an element outside n is named before any basis of A
+    from fsplit.ringspec import parse_polynomials
+
+    sop = parse_polynomials(R2, sop)
+    bases = []
+
+    def counted(J, *args, **kwargs):
+        bases.append(J)
+        return buchberger(J, *args, **kwargs)
+
+    monkeypatch.setattr(splitting, "buchberger", counted)
+    message = re.escape(
+        f"sop element {position} ({sop[position - 1]}) is not contained in the ideal of the origin"
+    )
+    for call in (
+        lambda: socle_generator(I, sop),
+        lambda: gorenstein_splitting_number(I, sop, 1),
+        lambda: gorenstein_splitting_number(I, sop, 1, u=R2.var("x")),
+    ):
+        bases.clear()
+        with pytest.raises(NotContaining, match=f"^{message}$"):
+            call()
+        assert bases == [I]  # only _origin_dimension's basis of I
+
+
+def test_a_supplied_socle_is_checked_but_not_raised(monkeypatch):
+    # x^2 - yz over F_3 with sop (y, z) has u0 = x; u = 2x + y^2 + xz is
+    # 2*u0 plus an element of A, so it is taken, and u0^q is what is used
+    ring = Ring(PrimeField(3), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    I, sop = ring.ideal(x**2 - y * z), (y, z)
+    length_of, used = splitting._gorenstein_length, []
+
+    def recorded(B, w):
+        used.append(w)
+        return length_of(B, w)
+
+    monkeypatch.setattr(splitting, "_gorenstein_length", recorded)
+    for e, lam in ((1, 5), (2, 41)):
+        used.clear()
+        rep = gorenstein_splitting_number(I, sop, e, u=2 * x + y**2 + x * z)
+        assert rep.splitting_length == lam and used == [x.frobenius(e)]
 
 
 @pytest.mark.parametrize("e, lam", [(2, 41), (3, 365)])

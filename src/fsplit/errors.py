@@ -7,7 +7,8 @@ mapping) can distinguish mathematical precondition failures from budget stops.
 from __future__ import annotations
 
 # Default bound shared by every cost guard: q^n on the main path and in
-# standard-monomial enumeration, matrix entries in the oracle.
+# standard-monomial enumeration, the Gorenstein staircase of S/(I + sop) in
+# ``splitting._socle``, matrix entries in the oracle.
 DEFAULT_BUDGET = 10**6
 
 
@@ -69,10 +70,6 @@ class NonPrimeCharacteristic(FsplitError):
     """The requested characteristic is not a prime number."""
 
 
-class DuplicateVariable(FsplitError):
-    """Variable or transcendental names collide."""
-
-
 class InternalInconsistency(FsplitError):
     """Two routes that must agree exactly disagreed; indicates a bug."""
 
@@ -92,8 +89,8 @@ class CostGuardExceeded(FsplitError):
         self.partial = partial
 
 
-class ParseError(FsplitError):
-    """Ring-spec text could not be parsed; carries line and column (0 when unknown)."""
+class _Located(FsplitError):
+    """An error that carries a ring-file line and column (0 when unknown)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         if line:
@@ -102,3 +99,11 @@ class ParseError(FsplitError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class DuplicateVariable(_Located):
+    """Variable or transcendental names collide."""
+
+
+class ParseError(_Located):
+    """Ring-spec text could not be parsed."""

@@ -9,7 +9,8 @@ while lcm(i, h) and lcm(j, h) both differ from it. Dead pairs stay in the
 pair heap and are skipped when popped, so the heap is never rebuilt; the
 fresh pairs are pushed onto it. Elements whose leading monomial lead(h)
 divides stay as reducers but get no new pairs. A pair's key and sugar
-degree are read off its packed lcm through affine weights (``_key_weights``).
+degree are read off its packed lcm through affine weights
+(``poly._key_weights``).
 
 Pairs are selected by the sugar strategy (Giovini, Mora, Niesi, Robbiano and
 Traverso, 1991): smallest sugar degree first, ties broken by the lcm's key
@@ -40,6 +41,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     Ring,
+    _key_weights,
     guard_mask,
     pack,
     packed_overflow,
@@ -195,13 +197,6 @@ def _packed_lcm(a: int, b: int, guard: int) -> int:
     and ``ge - (ge >> 16)`` widens it to that field's 16 value bits."""
     ge = ((a | guard) - b) & guard
     return b ^ ((a ^ b) & (ge - (ge >> 16)))
-
-
-def _key_weights(keyf, nvars: int) -> tuple:
-    """(key(0), [key(x_i) - key(0)]): keys are affine, so a monomial's key is
-    key(0) plus its exponents times these weights (see ``_key_degree``)."""
-    k0 = keyf((0,) * nvars)
-    return k0, [keyf(tuple(int(i == j) for j in range(nvars))) - k0 for i in range(nvars)]
 
 
 def _key_degree(m: int, k0: int, weights) -> tuple:

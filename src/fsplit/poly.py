@@ -240,6 +240,13 @@ def unpack(m: int, nvars: int) -> tuple:
     return tuple(out)
 
 
+def _key_weights(keyf, nvars: int) -> tuple:
+    """(key(0), [key(x_i) - key(0)]): keys are affine, so a monomial's key is
+    key(0) plus its exponents times these weights (``groebner._key_degree``)."""
+    k0 = keyf((0,) * nvars)
+    return k0, [keyf(tuple(int(i == j) for j in range(nvars))) - k0 for i in range(nvars)]
+
+
 def packed_overflow(a: int, b: int, guard: int) -> ExponentOverflow:
     """The error for a packed product ``a + b`` that set a guard bit.
 
@@ -248,6 +255,75 @@ def packed_overflow(a: int, b: int, guard: int) -> ExponentOverflow:
     nvars = guard.bit_length() // _FIELD_BITS
     out = tuple(x + y for x, y in zip(unpack(a, nvars), unpack(b, nvars)))
     return ExponentOverflow(f"monomial product overflows 16-bit exponents: {out}")
+
+
+def _base_p_power(f: "Polynomial", k: int, cap: int = EXPONENT_LIMIT) -> "Polynomial":
+    """f^k with every term that has an exponent >= cap dropped, 1 <= cap <= 2^16.
+
+    In characteristic p, f^k = prod_i (f^(k_i))^[p^i] over the base-p digits
+    k_i of k: raising g to the p^i multiplies its exponents by p^i and applies
+    the field's Frobenius to its coefficients (``field.frobenius(c, i)``, the
+    identity on F_p). Dropping every term with an exponent >= cap is the ring
+    map S -> S/n^[cap], as n^[cap] = (x_1^cap, ..., x_n^cap) is a monomial
+    ideal, so it applies to f, to each factor and to each partial product.
+    The factors are multiplied from the highest digit down.
+
+    On packed monomials (``pack``) with exponents below cap, a product m has
+    every field below 2^17, so it has an exponent >= cap iff (m + B) & G is
+    nonzero, with B = pack((2^16 - cap,) * n) and G = ``guard_mask(n)``.
+    Factor i takes the terms of f^(k_i) with exponents below cap / p^i, so
+    scaling by p^i moves no bit across a field; the constant term always enters.
+    """
+    ring = f.ring
+    field, n = ring.field, ring.nvars
+    p = field.characteristic
+    guard = guard_mask(n)
+    bcap = pack((EXPONENT_LIMIT - cap,) * n)
+
+    def times(a: dict, b: dict) -> dict:
+        """a * b, truncated at cap."""
+        acc = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                if (m + bcap) & guard:
+                    continue
+                c = field.mul(ca, cb)
+                old = acc.get(m)
+                acc[m] = c if old is None else field.add(old, c)
+        return {m: c for m, c in acc.items() if not field.is_zero(c)}
+
+    digits = []
+    while k:
+        k, digit = divmod(k, p)
+        digits.append(digit)
+    base = {m: c for m, c in ((pack(x), c) for x, c in f.terms) if not (m + bcap) & guard}
+    out = h = {0: field.one()}
+    powers = {}  # f^d, truncated, for each nonzero digit d of k
+    for d in range(1, max(digits, default=0) + 1):
+        h = times(base, h)
+        if d in digits:
+            powers[d] = h
+    for i in reversed(range(len(digits))):
+        if digits[i]:
+            s = p**i
+            bi = pack((EXPONENT_LIMIT + cap // -s,) * n)  # 2^16 - ceil(cap / s)
+            factor = {
+                m * s: field.frobenius(c, i) for m, c in powers[digits[i]].items()
+                if not (m + bi) & guard
+            }
+            out = times(factor, out)
+    _, weights = _key_weights(ring.order.key, n)  # one walk gives exponents and key
+    keyed = []
+    for m, c in out.items():
+        exps, k = [], 0
+        for w in weights:
+            exps.append(m & _MASK)
+            k += (m & _MASK) * w
+            m >>= _FIELD_BITS
+        keyed.append((k, tuple(exps), c))
+    keyed.sort(reverse=True)
+    return Polynomial(ring, tuple([(x, c) for _, x, c in keyed]))
 
 
 def _add_exps(a, b):
@@ -342,17 +418,6 @@ def format_terms(a, names, field) -> str:
     return " + ".join(parts) or "0"
 
 
-def _binary_power(f, k: int):
-    """f^k by repeated squaring."""
-    out = f.ring.one()
-    while k:
-        if k & 1:
-            out = out * f
-        k >>= 1
-        f = f * f if k else f
-    return out
-
-
 class Polynomial:
     """Immutable sparse polynomial; terms sorted descending under the ring order."""
 
@@ -444,27 +509,17 @@ class Polynomial:
         return Polynomial(self.ring, scale_terms(self.terms, c, field))
 
     def __pow__(self, k: int):
-        """f^k = prod_i (f^(k_i))^[p^i] over the base-p digits k_i of k, in
-        characteristic p, by binary powering inside one digit.
+        """f^k by base-p digits (``_base_p_power``), with no term dropped.
 
         The largest exponent of x_j in f^k is k times that in f, as S is a
         domain, so an overflow is refused up front with those exponents.
         """
         if k < 0:
             raise ValueError("negative polynomial power")
-        if self.terms:
-            tops = tuple(k * max(col) for col in zip(*(e for e, _ in self.terms)))
-            if any(a >= EXPONENT_LIMIT for a in tops):
-                raise ExponentOverflow(f"power overflows 16-bit exponents: largest {tops}")
-        p = self.ring.field.characteristic
-        out, i = self.ring.one(), 0
-        while k:
-            k, digit = divmod(k, p)
-            if digit:
-                g = _binary_power(self, digit)
-                out = out * g.frobenius(i) if i else g
-            i += 1
-        return out
+        tops = tuple(k * max(col) for col in zip(*(e for e, _ in self.terms)))
+        if any(a >= EXPONENT_LIMIT for a in tops):
+            raise ExponentOverflow(f"power overflows 16-bit exponents: largest {tops}")
+        return _base_p_power(self, k)
 
     def frobenius(self, e: int) -> "Polynomial":
         """Apply the e-fold Frobenius: coefficients to the q, exponents times q."""

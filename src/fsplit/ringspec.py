@@ -211,7 +211,7 @@ def parse_prime(
     if not set(names) <= set(ring.variables):
         raise ParseError(f"prime {text!r} is neither a named prime nor ring variables", line, col)
     if len(set(names)) != len(names):
-        raise DuplicateVariable(f"prime {text!r} repeats a variable")
+        raise DuplicateVariable(f"prime {text!r} repeats a variable", line, col)
     return CoordinatePrime(names)
 
 
@@ -238,7 +238,8 @@ def _statements(text: str):
             stmt = piece.strip()
             if stmt:
                 if "=" not in stmt:
-                    raise ParseError("expected 'key = value'", lineno, offset + 1)
+                    col = offset + piece.index(stmt) + 1
+                    raise ParseError("expected 'key = value'", lineno, col)
                 key, value = stmt.split("=", 1)
                 col = offset + piece.index("=") + 2 + len(value) - len(value.lstrip())
                 yield key.strip(), value.strip(), lineno, col
@@ -264,7 +265,7 @@ def _names(value: str, lineno: int, kind: str):
         if not name or name[0] not in _IDENT_START or any(c not in _IDENT_CONT for c in name):
             raise ParseError(f"invalid {kind} name {name!r}", lineno)
     if len(set(names)) != len(names):
-        raise DuplicateVariable(f"duplicate {kind} name in {names}")
+        raise DuplicateVariable(f"duplicate {kind} name in {names}", lineno)
     return names
 
 

@@ -58,16 +58,9 @@ basis from ``interreduce`` and run no Buchberger on n^[q].
 
 Both routes see K only through K + n^[q], so K is built modulo n^[q]. For a
 principal I = (f), K = (f^(q-1)) (Fedder, "F-purity and rational
-singularity", Trans. AMS 1983), and two facts give f^(q-1) modulo n^[q]
-exactly without forming f^(q-1):
-
-* in characteristic p, f^(q-1) = prod_{i<e} (f^(p-1))^(p^i), since
-  q - 1 = sum_{i<e} (p-1) p^i, and raising g to the p^i multiplies its
-  exponents by p^i and applies the field's Frobenius to its coefficients
-  (``field.frobenius(c, i)``, the identity on F_p);
-* n^[q] is a monomial ideal, so dropping every term with an exponent >= q
-  is the ring map S -> S/n^[q], and it may be applied to each factor and
-  each partial product.
+singularity", Trans. AMS 1983), and ``poly._base_p_power`` gives f^(q-1)
+modulo n^[q] exactly without forming f^(q-1), as a product over the base-p
+digits of q - 1, all p - 1, truncated at q.
 """
 
 from __future__ import annotations
@@ -90,7 +83,6 @@ from .groebner import (
     ReducedGB,
     _internal,
     _key_degree,
-    _key_weights,
     _nf,
     _Working,
     buchberger,
@@ -106,8 +98,9 @@ from .poly import (
     IdealPresentation,
     Polynomial,
     Ring,
+    _base_p_power,
+    _key_weights,
     guard_mask,
-    pack,
     unpack,
 )
 
@@ -270,74 +263,24 @@ def _substitute(terms: tuple, i: int, image, field, limit: int) -> tuple | None:
     return tuple((x, c) for x, c in acc.items() if not field.is_zero(c))
 
 
-def _truncated_power(f: Polynomial, e: int) -> Polynomial:
-    """f^(q-1) with every term that has an exponent >= q dropped, q = p^e.
-
-    Built as the product over i < e of (f^(p-1))^[p^i], from i = e - 1 down,
-    on packed monomials (``poly.pack``). A product m of a monomial truncated
-    at q and any monomial is the sum of the packed forms, with every field
-    below 2^16 + q, so m has an exponent >= q iff (m + B) & G is nonzero,
-    where B = pack((2^16 - q,) * n) and G is the guard mask. A term of
-    f^(p-1) enters factor i only if its exponents are below q / p^i, so
-    scaling its packed monomial by p^i moves no bit across a field. Needs
-    q < 2^16 when n > 0, as n^[q] itself does. At e = 0, q - 1 = 0 and the
-    power is 1, without the p - 1 products of f^(p-1).
-    """
-    ring = f.ring
-    if e == 0:
-        return ring.one()
-    field = ring.field
-    p = field.characteristic
-    n = ring.nvars
-    q = p**e
-    guard = guard_mask(n)
-
-    def below(b: int) -> int:
-        return pack((EXPONENT_LIMIT - b,) * n)
-
-    bq = below(q)
-
-    def times(a: dict, b: dict) -> dict:
-        acc = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                if (m + bq) & guard:
-                    continue
-                c = field.mul(ca, cb)
-                old = acc.get(m)
-                acc[m] = c if old is None else field.add(old, c)
-        return {m: c for m, c in acc.items() if not field.is_zero(c)}
-
-    base = {pack(x): c for x, c in f.terms}
-    h = {0: field.one()}
-    for _ in range(p - 1):
-        h = times(h, base)
-    out = {0: field.one()}
-    for i in reversed(range(e)):
-        s, bi = p**i, below(p ** (e - i))
-        factor = {m * s: field.frobenius(c, i) for m, c in h.items() if not (m + bi) & guard}
-        out = times(out, factor)
-    return ring.from_terms({unpack(m, n): c for m, c in out.items()})
-
-
 def _colon_multiplier(I: IdealPresentation, e: int) -> IdealPresentation:
     """K = (I^[q] : I) modulo n^[q], with (0^[q] : 0) = S for the zero ideal.
 
     Returns generators of an ideal K' with K' + n^[q] = K + n^[q], since both
     routes only ever see K + n^[q]. For a principal I = (f), S is a domain,
     so K = (f^(q-1)) exactly (Fedder), and K' is generated by f^(q-1) with
-    every term that has an exponent >= q dropped (``_truncated_power``). When
-    that is zero, f^(q-1) lies in n^[q] and K' is n^[q] itself, so the primal
-    colon is S at once and the dual length 0. Any other I goes through
-    ``colon_ideal`` and K' = K.
+    every term that has an exponent >= q dropped (``poly._base_p_power`` with
+    k = q - 1 and cap = q). When that is zero, f^(q-1) lies in n^[q] and K'
+    is n^[q] itself, so the primal colon is S at once and the dual length 0.
+    Any other I goes through ``colon_ideal`` and K' = K.
     """
     ring = I.ring
     gens = I.nonzero_generators()
     if not gens:
         return IdealPresentation(ring, (ring.one(),))
     if len(gens) == 1:
-        k = _truncated_power(gens[0], e)
+        q = ring.field.characteristic**e
+        k = _base_p_power(gens[0], q - 1, q)
         if k.is_zero():
             return frobenius_power(ring.variable_ideal(), e)
         return IdealPresentation(ring, (k,))

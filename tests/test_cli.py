@@ -321,7 +321,7 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
         (("--primes", "x|x,w"), "'x,w'"),
         (("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
         (("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
-        (("--primes", "x,x,y"), "'x,x,y' repeats a variable"),
+        (("--primes", "x,x,y"), "--primes: prime 'x,x,y' repeats a variable"),
     ],
     ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain",
          "repeated-variable"],
@@ -424,6 +424,8 @@ def test_a_refusal_names_a_long_generator_by_position(
          "line 4: unknown key 'connected'"),
         ("char = " + "1" * 5000 + "\nvars = x\nideal = x\n",
          "line 1, column 8: integer of 5000 digits is too long"),
+        ("char = 2\nvars = x, x\nideal = x\n",
+         "line 2: duplicate variable name in ['x', 'x']"),
         *(
             (f"char = 2\nvars = x, y\n{text}\n", message)
             for text, message in [
@@ -431,6 +433,11 @@ def test_a_refusal_names_a_long_generator_by_position(
                 ("ideal = (x y)", "line 3, column 12: expected ')'"),
                 ("ideal = x y", "line 3, column 11: trailing input 'y'"),
                 ("ideal x*y", "line 3, column 1: expected 'key = value'"),
+                ("ideal = x*y; sop", "line 3, column 14: expected 'key = value'"),
+                ("ideal = x*y\ntranscendentals = t, t",
+                 "line 4: duplicate transcendental name in ['t', 't']"),
+                ("ideal = x*y\nprime P = x, x",
+                 "line 4, column 11: prime 'x, x' repeats a variable"),
                 ("ideal = x*y\ntranscendentals = t, 2s",
                  "line 4: invalid transcendental name '2s'"),
                 ("ideal = x*y\nideal = x", "line 4: duplicate key 'ideal'"),
@@ -443,9 +450,10 @@ def test_a_refusal_names_a_long_generator_by_position(
         ),
     ],
     ids=[
-        "statement-level-no-column", "characteristic-too-long", "exponent", "close-paren",
-        "trailing", "no-equals", "name", "duplicate-key", "boolean", "duplicate-prime",
-        "duplicate-chain",
+        "statement-level-no-column", "characteristic-too-long", "duplicate-variable",
+        "exponent", "close-paren", "trailing", "no-equals", "no-equals-after-semicolon",
+        "duplicate-transcendental", "prime-repeats-a-variable", "name", "duplicate-key",
+        "boolean", "duplicate-prime", "duplicate-chain",
     ],
 )
 def test_ring_file_refusals_are_one_line(tmp_path, capsys, text, message):

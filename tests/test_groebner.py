@@ -24,14 +24,13 @@ from fsplit import (
 from fsplit.artinian import _minimalize
 from fsplit.groebner import (
     _key_degree,
-    _key_weights,
     _lcm,
     _packed_lcm,
     _support,
     interreduce,
 )
 from fsplit.ideals import intersect
-from fsplit.poly import guard_mask, pack, unpack
+from fsplit.poly import _key_weights, guard_mask, pack, unpack
 from fsplit.ringspec import parse_polynomial
 
 R5 = Ring(PrimeField(5), ("x", "y"))

@@ -163,8 +163,9 @@ def principal_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(principal_cases())
 def test_principal_colon_multiplier_is_truncated_power(case):
-    # the truncated Frobenius product equals f^(q-1) built by repeated
-    # squaring, with every term that has an exponent >= q removed
+    # the truncated Frobenius product equals the full f^(q-1), with every
+    # term that has an exponent >= q removed; test_poly holds ** to repeated
+    # multiplication
     f, e = case
     q = f.ring.field.characteristic**e
     want = _without_high_terms(f ** (q - 1), q)

@@ -16,7 +16,14 @@ from fsplit import (
     RingMismatch,
 )
 from fsplit.groebner import _divides
-from fsplit.poly import EXPONENT_LIMIT, guard_mask, pack, packed_overflow, unpack
+from fsplit.poly import (
+    EXPONENT_LIMIT,
+    _base_p_power,
+    guard_mask,
+    pack,
+    packed_overflow,
+    unpack,
+)
 
 R2 = Ring(PrimeField(2), ("x", "y"))
 R5 = Ring(PrimeField(5), ("x", "y"))
@@ -74,9 +81,9 @@ POWER_FIELDS = [
 
 @st.composite
 def powers(draw):
-    """(f, k): f with up to four terms in x, y over F_p or F_p(t), with
-    coefficients a + b*t, and k up to min(p^3 + 2, 40), so k has up to four
-    base-p digits."""
+    """(f, k): f with up to four terms in x, y and a constant term over F_p or
+    F_p(t), with coefficients a + b*t, and k up to min(p^3 + 2, 40), so k has
+    up to four base-p digits."""
     field = draw(st.sampled_from(POWER_FIELDS))
     ring = Ring(field, ("x", "y"), draw(st.sampled_from([GREVLEX, LEX])))
     p = field.characteristic
@@ -85,16 +92,21 @@ def powers(draw):
     for _ in range(draw(st.integers(0, 4))):
         c = ring.from_int(draw(st.integers(0, p - 1))) + draw(st.integers(0, p - 1)) * t
         f = f + c * ring.monomial(draw(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+    f = f + ring.from_int(draw(st.integers(0, p - 1)))
     return f, draw(st.integers(0, min(p**3 + 2, 40)))
 
 
-@given(powers())
-def test_power_by_base_p_digits_is_repeated_multiplication(power):
+@given(powers(), st.integers(1, 30))
+def test_power_by_base_p_digits_is_repeated_multiplication(power, cap):
+    # with a cap, every term of f^k with an exponent >= cap is dropped; caps
+    # below p^i for the top digit i of k leave that factor its constant term
     f, k = power
     want = f.ring.one()
     for _ in range(k):
         want = want * f
     assert f**k == want
+    low = {x: c for x, c in want.terms if max(x) < cap}
+    assert _base_p_power(f, k, cap) == f.ring.from_terms(low)
 
 
 # exponents near both ends of the 16-bit range, so divisibility goes both ways

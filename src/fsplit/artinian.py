@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import DEFAULT_BUDGET, CostGuardExceeded, NotArtinian
-from .groebner import ReducedGB, _support
+from .groebner import ReducedGB, _minimalize, _support
 from .poly import _FIELD_BITS, _MASK, guard_mask
 
 
@@ -27,20 +27,6 @@ def is_artinian(gb: ReducedGB) -> bool:
     guard = guard_mask(gb.ring.nvars)
     pure = {s for s in (_support(m, guard) for m in gb.leads) if not s & (s - 1)}
     return 0 in pure or sum(pure) == guard  # 0: the unit ideal
-
-
-def _minimalize(gens, guard: int) -> tuple:
-    """The minimal packed monomials of ``gens``, ascending; a proper divisor is a
-    smaller integer, so each is tested only against the minimal ones before it."""
-    out: list[int] = []
-    for g in sorted(set(gens)):
-        gg = g | guard
-        for h in out:
-            if (gg - h) & guard == guard:
-                break
-        else:
-            out.append(g)
-    return tuple(out)
 
 
 def _count(gens: tuple, nvars: int, guard: int, memo: dict) -> int:

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -38,6 +39,9 @@ from .splitting import (
 )
 
 SCHEMA = "fsplit/1"
+
+# a --thresholds entry: ASCII digits, as a ring file reads them, and no exponent
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 class _UsageError(Exception):
@@ -102,7 +106,7 @@ def _check_flags(args) -> None:
             value = int(text)  # also refuses "", "-" and more digits than int() reads
         except ValueError:
             raise _UsageError(
-                f"--{name} must be an integer in ASCII digits, got {excerpt(repr(text))}"
+                f"--{name} must be an integer in ASCII digits, got {excerpt(text)!r}"
             ) from None
         if value < least:
             floor = "nonnegative" if least == 0 else "positive"
@@ -117,6 +121,15 @@ def _ring_summary(spec: RingSpec) -> dict:
         "transcendentals": list(spec.ring.field.transcendentals),
         "ideal": [str(g) for g in spec.ideal.generators],
     }
+
+
+def _rational(text: str) -> Fraction:
+    """[-]digits[/digits] or [-]digits.digits; int() refuses more digits than it prints."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError
+    whole, den, decimals = match.groups(default="")
+    return Fraction(int(whole + decimals), int(den or 1) * 10 ** len(decimals))
 
 
 @contextlib.contextmanager
@@ -138,12 +151,11 @@ def _cmd_probe(args, spec: RingSpec) -> dict:
     with _flag("--primes"):
         primes = [parse_prime(spec.ring, tok, spec.primes) for tok in args.primes.split("|")]
     try:
-        tokens = [tok.strip() for tok in args.thresholds.split(",")]
-        if not all(set(tok) <= _DIGITS.union("+-/.eE") for tok in tokens):
-            raise ValueError
-        thresholds = [Fraction(tok) for tok in tokens]
+        thresholds = [_rational(tok) for tok in args.thresholds.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"--thresholds must be rationals, got {args.thresholds!r}") from None
+        raise _UsageError(
+            f"--thresholds must be rationals, got {excerpt(args.thresholds)!r}"
+        ) from None
     chains = ()
     if args.chains is not None:
         with _flag("--chains"):

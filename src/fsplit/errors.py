@@ -67,7 +67,8 @@ class MissingFlag(FsplitError):
 
 
 class NonPrimeCharacteristic(FsplitError):
-    """The requested characteristic is not a prime number."""
+    """The requested characteristic is not a prime below 2^16: q = p^e is an
+    exponent of n^[q] and sop^[q], and exponents stay below 2^16."""
 
 
 class InternalInconsistency(FsplitError):

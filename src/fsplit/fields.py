@@ -61,14 +61,17 @@ depend on which path ran.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 
 from .errors import (
     DivisionByZero,
     DuplicateVariable,
     NonPrimeCharacteristic,
+    excerpt,
 )
 from .poly import (
+    EXPONENT_LIMIT,
     add_terms,
     format_terms,
     monic_terms,
@@ -78,43 +81,18 @@ from .poly import (
     sort_terms,
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-CHARACTERISTIC_LIMIT = 1 << 64  # exclusive bound below which is_prime is exact
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 2^64 (``CHARACTERISTIC_LIMIT``).
-
-    Above that it can be wrong: 318665857834031151167461 = 399165290221 *
-    798330580441 is a strong pseudoprime to all twelve bases.
-    """
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: at most 255 divisors below ``EXPONENT_LIMIT``, the only range asked."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def check_characteristic(p: int) -> None:
-    """Raise NonPrimeCharacteristic unless p is a prime below 2^64."""
-    if p >= CHARACTERISTIC_LIMIT:
+    """Raise NonPrimeCharacteristic unless p is a prime below 2^16 (``EXPONENT_LIMIT``)."""
+    if p >= EXPONENT_LIMIT:
         raise NonPrimeCharacteristic(
-            f"characteristic {p} is at least 2^64; only primes below 2^64 are certified"
+            f"characteristic {excerpt(p)} is at least 2^16: q = p^e is an exponent of"
+            " n^[q] and sop^[q], which must stay below 2^16"
         )
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")

@@ -217,6 +217,20 @@ def _support(m: int, guard: int) -> int:
     return ((m | guard) - (guard >> 16)) & guard
 
 
+def _minimalize(gens, guard: int) -> tuple:
+    """The minimal packed monomials of ``gens``, ascending; a proper divisor is a
+    smaller integer, so each is tested only against the minimal ones before it."""
+    out: list[int] = []
+    for g in sorted(set(gens)):
+        gg = g | guard
+        for h in out:
+            if (gg - h) & guard == guard:
+                break
+        else:
+            out.append(g)
+    return tuple(out)
+
+
 class ReducedGB:
     """A reduced Groebner basis: monic, mutually reduced, sorted by leading term.
 
@@ -365,19 +379,12 @@ def buchberger(ideal: IdealPresentation, order: MonomialOrder | None = None) -> 
                     ge = ((lj | guard) - lh) & guard
                     if lh ^ ((lj ^ lh) & (ge - (ge >> 16))) != l:
                         dead.add(pr)
-        # criterion M as in artinian._minimalize, pushing each kept non-coprime lcm
-        kept: list[int] = []
-        for l in sorted(by_lcm):
-            lg = l | guard
-            for m in kept:
-                if (lg - m) & guard == guard:
-                    break
-            else:
-                kept.append(l)
-                g, coprime = by_lcm[l]
-                if not coprime:
-                    kl, dl = _key_degree(l, k0, weights)
-                    push(pairs, (max(sugar[g] + dl - degrees[g], s + dl - dh), kl, g, h, l))
+        # criterion M, pushing each kept non-coprime lcm
+        for l in _minimalize(by_lcm, guard):
+            g, coprime = by_lcm[l]
+            if not coprime:
+                kl, dl = _key_degree(l, k0, weights)
+                push(pairs, (max(sugar[g] + dl - degrees[g], s + dl - dh), kl, g, h, l))
         # elements whose lead h divides stay as reducers but get no new pairs
         active[:] = [g for g in active if ((packed[g] | guard) - lh) & guard != guard]
         active.append(h)

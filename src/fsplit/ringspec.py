@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import DuplicateVariable, FsplitError, ParseError
+from .errors import DuplicateVariable, FsplitError, ParseError, excerpt
 from .fields import PrimeField, RationalFunctionField, check_characteristic
 from .localization import CoordinatePrime, PrimeChain
 from .poly import GREVLEX, IdealPresentation, Polynomial, Ring
@@ -165,8 +165,8 @@ def _parse_atom(ring: Ring, toks: _Tokens) -> Polynomial:
             return ring.var(value)
         if value in ring.field.transcendentals:
             return ring.constant(ring.field.transcendental(value))
-        raise ParseError(f"unknown name {value!r}", line, col)
-    raise ParseError(f"unexpected token {value!r}", line, col)
+        raise ParseError(f"unknown name {excerpt(value)!r}", line, col)
+    raise ParseError(f"unexpected token {excerpt(value)!r}", line, col)
 
 
 def parse_polynomial(ring: Ring, text: str, line: int = 1, col0: int = 1) -> Polynomial:
@@ -175,7 +175,7 @@ def parse_polynomial(ring: Ring, text: str, line: int = 1, col0: int = 1) -> Pol
     poly = _parse_expr(ring, toks)
     tok = toks.peek()
     if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+        raise ParseError(f"trailing input {excerpt(tok[1])!r}", tok[2], tok[3])
     return poly
 
 
@@ -209,9 +209,11 @@ def parse_prime(
         return CoordinatePrime(())
     names = tuple(v.strip() for v in text.split(","))
     if not set(names) <= set(ring.variables):
-        raise ParseError(f"prime {text!r} is neither a named prime nor ring variables", line, col)
+        raise ParseError(
+            f"prime {excerpt(text)!r} is neither a named prime nor ring variables", line, col
+        )
     if len(set(names)) != len(names):
-        raise DuplicateVariable(f"prime {text!r} repeats a variable", line, col)
+        raise DuplicateVariable(f"prime {excerpt(text)!r} repeats a variable", line, col)
     return CoordinatePrime(names)
 
 
@@ -226,7 +228,7 @@ def parse_chain(
     try:
         return PrimeChain(links)
     except FsplitError as exc:  # not strictly increasing
-        raise ParseError(f"chain {text!r}: {exc}", line, col) from None
+        raise ParseError(f"chain {excerpt(text)!r}: {exc}", line, col) from None
 
 
 def _statements(text: str):
@@ -263,17 +265,14 @@ def _names(value: str, lineno: int, kind: str):
     names = [v.strip() for v in value.split(",")]
     for name in names:
         if not name or name[0] not in _IDENT_START or any(c not in _IDENT_CONT for c in name):
-            raise ParseError(f"invalid {kind} name {name!r}", lineno)
+            raise ParseError(f"invalid {kind} name {excerpt(name)!r}", lineno)
     if len(set(names)) != len(names):
-        raise DuplicateVariable(f"duplicate {kind} name in {names}", lineno)
+        raise DuplicateVariable(f"duplicate {kind} name in {excerpt(names)}", lineno)
     return names
 
 
 def parse_ring_spec(text: str) -> RingSpec:
     """Parse a full ring-spec file into (ring, ideal, metadata)."""
-    char = None
-    vars_: list | None = None
-    transcendentals: list = []
     raw: dict = {}
     equidimensional = False
     prime_stmts = []
@@ -288,35 +287,33 @@ def parse_ring_spec(text: str) -> RingSpec:
             chain_stmts.append((words[1], value, lineno, col))
             continue
         if len(words) != 1 or words[0] not in _KNOWN_KEYS:
-            raise ParseError(f"unknown key {key!r}", lineno)
+            raise ParseError(f"unknown key {excerpt(key)!r}", lineno)
         key = words[0]
         if key in raw:
             raise ParseError(f"duplicate key {key!r}", lineno)
         if key == "char":
             if not value or not set(value) <= _DIGITS:
-                raise ParseError(f"characteristic {value!r} is not an integer", lineno, col)
-            char = _integer(value, lineno, col)
-            check_characteristic(char)
-            raw[key] = char
-        elif key == "vars":
-            vars_ = _names(value, lineno, "variable")
-            raw[key] = vars_
-        elif key == "transcendentals":
-            transcendentals = _names(value, lineno, "transcendental")
-            raw[key] = transcendentals
+                raise ParseError(
+                    f"characteristic {excerpt(value)!r} is not an integer", lineno, col
+                )
+            raw[key] = _integer(value, lineno, col)
+            check_characteristic(raw[key])
+        elif key in ("vars", "transcendentals"):
+            raw[key] = _names(value, lineno, "variable" if key == "vars" else "transcendental")
+            if set(raw.get("vars", ())) & set(raw.get("transcendentals", ())):
+                raise DuplicateVariable("ring variables and transcendentals overlap", lineno)
         elif key == "equidimensional":
             if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
-                raise ParseError(f"expected true/false, found {value!r}", lineno)
+                raise ParseError(f"expected true/false, found {excerpt(value)!r}", lineno)
             equidimensional = raw[key] = value.lower() in ("true", "yes", "1")
         else:
             raw[key] = (value, lineno, col)
 
+    char, vars_, transcendentals = (raw.get(k) for k in ("char", "vars", "transcendentals"))
     if char is None:
         raise ParseError("missing required key 'char'", 1)
     if not vars_:
         raise ParseError("missing required key 'vars'", 1)
-    if set(vars_) & set(transcendentals):
-        raise DuplicateVariable("ring variables and transcendentals overlap")
     field = RationalFunctionField(char, transcendentals) if transcendentals else PrimeField(char)
     ring = Ring(field, vars_, GREVLEX)
 
@@ -326,13 +323,13 @@ def parse_ring_spec(text: str) -> RingSpec:
     primes: dict = {}
     for name, value, lineno, col in prime_stmts:
         if name in primes:
-            raise ParseError(f"duplicate prime name {name!r}", lineno)
+            raise ParseError(f"duplicate prime name {excerpt(name)!r}", lineno)
         primes[name] = parse_prime(ring, value, primes, lineno, col)
 
     chains: dict = {}
     for name, value, lineno, col in chain_stmts:
         if name in chains:
-            raise ParseError(f"duplicate chain name {name!r}", lineno)
+            raise ParseError(f"duplicate chain name {excerpt(name)!r}", lineno)
         chains[name] = parse_chain(ring, value, primes, chains, lineno, col)
 
     sop = parse_polynomials(ring, *raw["sop"]) if "sop" in raw else None

@@ -200,11 +200,11 @@ def test_nonprime_char_exit_2(tmp_path, capsys):
 
 
 def test_char_beyond_certified_primes_exit_2(tmp_path, capsys):
-    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    # 399165290221 * 798330580441, composite and far past the 2^16 bound
     path = tmp_path / "psi12.ring"
     path.write_text("char = 318665857834031151167461\nvars = x\nideal = x\n", encoding="utf-8")
     code, out, err = run(capsys, "se", str(path), "--e", "1")
-    assert code == 2 and out == "" and "2^64" in err
+    assert code == 2 and out == "" and "2^16" in err
 
 
 @pytest.mark.parametrize(
@@ -301,9 +301,10 @@ def test_se_bad_values_are_usage_errors(files, capsys, argv, needle):
 
 @pytest.mark.parametrize(
     "thresholds",
-    ["abc", "1/0", "0,\u0663/4", "1_0", "0,1/\uff12"],
+    ["abc", "1/0", "0,\u0663/4", "1_0", "0,1/\uff12", "1e9999", "0," + "z" * 5000,
+     "1" * 3000 + "." + "1" * 3000],
     ids=["not-a-number", "zero-denominator", "arabic-indic-digit", "underscore",
-         "fullwidth-digit"],
+         "fullwidth-digit", "exponent", "long-value", "decimal-past-the-digit-limit"],
 )
 def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
     code, out, err = run(
@@ -312,6 +313,7 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith("fsplit: error: ") and "--thresholds must be rationals" in err
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize(
@@ -322,9 +324,10 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
         (("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
         (("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
         (("--primes", "x,x,y"), "--primes: prime 'x,x,y' repeats a variable"),
+        (("--primes", "x|" + "z" * 5000), "prime '" + "z" * 60 + " ...' is neither"),
     ],
     ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain",
-         "repeated-variable"],
+         "repeated-variable", "long-value"],
 )
 def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, flags, needle):
     code, out, err = run(
@@ -333,6 +336,7 @@ def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, flags, needle):
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback
     assert err.startswith("fsplit: error: ") and needle in err
+    assert len(err.encode()) < 300
 
 
 def test_successive_calls_share_one_parser(files, capsys):
@@ -417,6 +421,9 @@ def test_a_refusal_names_a_long_generator_by_position(
     assert len(err.encode()) < 300 and f"generator {position} " in err
 
 
+LONG = "w" * 60 + " ..."  # a 5000-character "ww...w" as a refusal quotes it
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -426,6 +433,13 @@ def test_a_refusal_names_a_long_generator_by_position(
          "line 1, column 8: integer of 5000 digits is too long"),
         ("char = 2\nvars = x, x\nideal = x\n",
          "line 2: duplicate variable name in ['x', 'x']"),
+        ("char = 2\ntranscendentals = t\nvars = x, t\nideal = x\n",
+         "line 3: ring variables and transcendentals overlap"),
+        ("char = 65537\nvars = x\nideal = x\n",
+         "characteristic 65537 is at least 2^16: q = p^e is an exponent of n^[q] and "
+         "sop^[q], which must stay below 2^16"),
+        ("char = " + "w" * 5000 + "\nvars = x\nideal = x\n",
+         f"line 1, column 8: characteristic '{LONG}' is not an integer"),
         *(
             (f"char = 2\nvars = x, y\n{text}\n", message)
             for text, message in [
@@ -446,14 +460,20 @@ def test_a_refusal_names_a_long_generator_by_position(
                 ("ideal = x*y\nprime P = x\nprime P = y", "line 5: duplicate prime name 'P'"),
                 ("ideal = x*y\nchain C = x < x, y\nchain C = y < x, y",
                  "line 5: duplicate chain name 'C'"),
+                ("ideal = " + "w" * 5000, f"line 3, column 9: unknown name '{LONG}'"),
+                ("w" * 5000 + " = 1\nideal = x", f"line 3: unknown key '{LONG}'"),
+                ("ideal = x\nequidimensional = " + "w" * 5000,
+                 f"line 4: expected true/false, found '{LONG}'"),
             ]
         ),
     ],
     ids=[
         "statement-level-no-column", "characteristic-too-long", "duplicate-variable",
+        "overlap-on-the-later-line", "characteristic-at-least-2-to-16", "long-characteristic",
         "exponent", "close-paren", "trailing", "no-equals", "no-equals-after-semicolon",
         "duplicate-transcendental", "prime-repeats-a-variable", "name", "duplicate-key",
-        "boolean", "duplicate-prime", "duplicate-chain",
+        "boolean", "duplicate-prime", "duplicate-chain", "long-name", "long-key",
+        "long-boolean",
     ],
 )
 def test_ring_file_refusals_are_one_line(tmp_path, capsys, text, message):

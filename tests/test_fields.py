@@ -147,23 +147,14 @@ def test_is_prime_matches_a_sieve():
     assert [n for n in range(100_000) if is_prime(n)] == [n for n in range(100_000) if sieve[n]]
 
 
-def test_is_prime_miller_rabin_branch():
-    # above 37 trial division by the bases does not decide, so these reach
-    # the Miller-Rabin rounds
-    for p in (41, 65521, 2**31 - 1, 2**61 - 1):
-        assert is_prime(p)
-    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
-    for n in (561, 41041, 3215031751):
-        assert not is_prime(n)
-
-
-def test_characteristic_at_least_2_to_64_rejected():
-    # a strong pseudoprime to all twelve bases: is_prime cannot refuse it
-    with pytest.raises(NonPrimeCharacteristic, match="2\\^64"):
-        PrimeField(PSI_12)
+def test_characteristic_at_least_2_to_16_rejected():
+    # q = p^e is an exponent of n^[q], so p itself must stay below 2^16
+    for p in (PSI_12, 65537, 2**61 - 1):
+        with pytest.raises(NonPrimeCharacteristic, match="2\\^16"):
+            PrimeField(p)
     with pytest.raises(NonPrimeCharacteristic):
-        RationalFunctionField(PSI_12, ("t",))
-    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+        RationalFunctionField(65537, ("t",))
+    assert PrimeField(65521).characteristic == 65521
 
 
 def test_duplicate_transcendentals_rejected():

@@ -21,10 +21,10 @@ from fsplit import (
     s_polynomial,
     validate_reduced_gb,
 )
-from fsplit.artinian import _minimalize
 from fsplit.groebner import (
     _key_degree,
     _lcm,
+    _minimalize,
     _packed_lcm,
     _support,
     interreduce,

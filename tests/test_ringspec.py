@@ -183,8 +183,10 @@ def test_parse_prime_forms():
         ("x y", ParseError, "'x y' is neither"),
         ("x,,y", ParseError, "'x,,y' is neither"),
         ("x, y, x", DuplicateVariable, "'x, y, x' repeats a variable"),
+        ("z" * 5000, ParseError, "^prime '" + "z" * 60 + r" \.\.\.' is neither"),
     ],
-    ids=["unknown-name", "unknown-variable", "not-an-identifier", "empty-entry", "repeat"],
+    ids=["unknown-name", "unknown-variable", "not-an-identifier", "empty-entry", "repeat",
+         "long-text"],
 )
 def test_parse_prime_refusals(text, error, needle):
     with pytest.raises(error, match=needle):
@@ -267,12 +269,14 @@ def test_only_ascii_digits_are_integers(text, col):
 
 
 @pytest.mark.parametrize(
-    "char", ["1_1", "٣", "+3", "-3", "3 3"],
-    ids=["underscore", "arabic-indic", "plus-sign", "minus-sign", "inner-space"],
+    "char, quoted",
+    [("1_1", "'1_1'"), ("٣", "'٣'"), ("+3", "'+3'"), ("-3", "'-3'"), ("3 3", "'3 3'"),
+     ("c" * 5000, "'" + "c" * 60 + " ...'")],
+    ids=["underscore", "arabic-indic", "plus-sign", "minus-sign", "inner-space", "long-value"],
 )
-def test_characteristic_is_ascii_digits_only(char):
-    # int() would read 1_1 as 11 and ٣ as 3
-    message = f"line 2, column 8: characteristic {char!r} is not an integer"
+def test_characteristic_is_ascii_digits_only(char, quoted):
+    # int() would read 1_1 as 11 and ٣ as 3; a long value is quoted to 60 characters
+    message = f"line 2, column 8: characteristic {quoted} is not an integer"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_ring_spec(f"vars = x\nchar = {char}\nideal = x")
     assert parse_ring_spec("vars = x\nchar = 11\nideal = x").ring.field == PrimeField(11)

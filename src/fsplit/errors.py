@@ -13,8 +13,16 @@ DEFAULT_BUDGET = 10**6
 
 
 def excerpt(value, limit: int = 60) -> str:
-    """str(value), cut to ``limit`` characters so a refusal stays one short line."""
-    text = str(value)
+    """str(value), cut to ``limit`` characters so a refusal stays one short line.
+
+    An int too long for ``str`` (past Python's digit limit) is named by its size.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        text = f"an integer of {value.bit_length()} bits"
     return text if len(text) <= limit else text[:limit] + " ..."
 
 

@@ -2,10 +2,10 @@
 
 Intersections use the classic single-auxiliary-variable elimination
 I cap J = (t*I + (t-1)*J) cap S, with t alone in the eliminated block of
-elim(1) and grevlex on the other variables. Colon ideals reduce to
-intersections with principal ideals followed by exact division, asserted as
-a corruption detector. Two facts keep this from repeating work, and both are
-exact:
+elim(1) and grevlex on the other variables. A colon by J = (f_1, ..., f_r)
+runs one intersection per generator, each followed by exact division,
+asserted as a corruption detector. Two facts keep this from repeating work,
+and both are exact:
 
 * The t-free elements of any elim(1) Groebner basis G of t*I + (t-1)*J,
   reduced or not, with t dropped, are a grevlex Groebner basis of I cap J:
@@ -26,10 +26,18 @@ exact:
   primal colon n^[q] : K this drops every term of K with an exponent >= q
   before any elimination, and at e = 0, where K = S, it returns n itself.
 
-The quotients h/f over the reduced grevlex basis of I cap (f) are a Groebner
-basis of (I : f): for g in (I : f), lead(f*g) = lead(f)*lead(g) is divisible
-by some lead(h) = lead(f)*lead(h/f). So they are only interreduced, with no
-S-pair formed.
+The colon is carried from one generator to the next. With
+B = (I : (f_1, ..., f_{k-1})), and B = S before the first generator,
+
+  (I : (f_1, ..., f_k)) = {h in B : h*f_k in I} = (I cap f_k*B) / f_k.
+
+An element of I cap f_k*B is f_k*h with h in B and f_k*h in I, and S is a
+domain, so each division by f_k is exact and its quotient is h. The first
+step is I cap (f_1), the principal colon. The quotients h/f over the reduced
+grevlex basis of I cap f*B are a Groebner basis of (I : f) cap B: for g in
+it, f*g lies in I cap f*B, so lead(f*g) = lead(f)*lead(g) is divisible by
+some lead(h) = lead(f)*lead(h/f). So they are only interreduced, with no
+S-pair formed, and a colon by r generators runs r eliminations.
 
 Both operations stay in Buchberger's working form (``groebner``): descending
 (key, packed monomial, coeff) lists, which a ``ReducedGB`` holds as its state.
@@ -39,9 +47,9 @@ offset that depends on a alone, since keys are affine (``MonomialOrder.key``).
 The t-free elements of G are those whose lead key lies below the offset of
 t^1, the bound it passes to Buchberger; it projects them with ``m >> 17``
 and by subtracting the offset of t^0.
-``colon_ideal`` does the normal forms, the exact divisions, the
-interreduction and the running intersection on these lists too, so a
-Polynomial is built only when a caller reads ``ReducedGB.basis``.
+``colon_ideal`` does the normal forms, the products f*b, the exact
+divisions and the interreduction on these lists too, so a Polynomial is
+built only when a caller reads ``ReducedGB.basis``.
 """
 
 from __future__ import annotations
@@ -185,11 +193,46 @@ def _divide(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
     return quo
 
 
+def _multiply(ring: Ring, order: MonomialOrder, f: list, g: list) -> list:
+    """The product f*g of working forms under ``order``.
+
+    Keys are affine, so the key of a product term is kf + kg - key(0); every
+    packed product is checked for a field past 16 bits.
+    """
+    field = ring.field
+    guard = guard_mask(ring.nvars)
+    key0 = order.key((0,) * ring.nvars)
+    fmul, fadd = field.mul, field.add
+    coeffs: dict = {}
+    exps_of: dict = {}
+    for kf, mf, cf in f:
+        shift = kf - key0
+        for kg, mg, cg in g:
+            m = mf + mg
+            if m & guard:
+                raise packed_overflow(mf, mg, guard)
+            k = kg + shift
+            c = fmul(cf, cg)
+            old = coeffs.get(k)
+            if old is None:
+                coeffs[k] = c
+                exps_of[k] = m
+            else:
+                coeffs[k] = fadd(old, c)
+    is_zero = field.is_zero
+    keys = sorted(coeffs, reverse=True)
+    return [(k, exps_of[k], coeffs[k]) for k in keys if not is_zero(coeffs[k])]
+
+
 def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | ReducedGB) -> ReducedGB:
     """Reduced grevlex Groebner basis of (I : J) = {f : f*J in I}.
 
     Either ideal may be a ReducedGB, which stands for its basis; a reduced
-    grevlex basis of I is used as it is, with no Buchberger run.
+    grevlex basis of I is used as it is, with no Buchberger run. J's
+    generators are taken in their given order, and the running colon
+    B = (I : (f_1, ..., f_{k-1})) meets the next one f in one elimination:
+    (I : (f_1, ..., f_k)) = (I cap f*B) / f, where each division is exact
+    because I cap f*B lies in (f) and S is a domain (see the module docstring).
     """
     if I.ring != J.ring:
         raise RingMismatch("colon across different rings")
@@ -204,7 +247,7 @@ def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | Reduced
         gb = buchberger(I.presentation() if isinstance(I, ReducedGB) else I, GREVLEX)
     basis, leads = gb._terms, gb.leads
     guard = guard_mask(ring.nvars)
-    result: ReducedGB | None = None
+    colon: ReducedGB | None = None  # (I : f_1..f_k) so far; None stands for S
     for f in jgens:
         if basis:
             f = _nf(f, basis, leads, field, guard)  # (I : f) = (I : f + i) for i in I
@@ -213,10 +256,11 @@ def colon_ideal(I: IdealPresentation | ReducedGB, J: IdealPresentation | Reduced
         if f[0][1] == 0:
             return gb  # f is a unit, so (I : f) = I, inside every other (I : g)
         f = _monic(f, field)
-        inter = intersect(I, ReducedGB(ring, GREVLEX, (f,)))
+        # f*B, from B's reduced basis: intersect reads it only as generators
+        fB = (f,) if colon is None else [_multiply(ring, GREVLEX, f, b) for b in colon._terms]
+        inter = intersect(gb, ReducedGB(ring, GREVLEX, fB))
         quotients = [_divide(ring, GREVLEX, h, f) for h in inter._terms]
         colon = _reduce_basis(ring, GREVLEX, quotients)
-        result = colon if result is None else intersect(result, colon)
-    if result is None:  # every f lies in I: the unit ideal, one constant term
+    if colon is None:  # every f lies in I: the unit ideal, one constant term
         return ReducedGB(ring, GREVLEX, ([(GREVLEX.key((0,) * ring.nvars), 0, field.one())],))
-    return result
+    return colon

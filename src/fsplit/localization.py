@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, FsplitError, NotContaining
+from .errors import DEFAULT_BUDGET, FsplitError, NotContaining, excerpt
 from .fields import PrimeField, RatFunc, RationalFunctionField
 from .poly import GREVLEX, IdealPresentation, Ring
 from .splitting import SplittingReport, _require_in_prime, normalized_splitting_number
@@ -45,16 +45,18 @@ class PrimeChain:
     def __post_init__(self):
         for a, b in zip(self.primes, self.primes[1:]):
             if not (set(a.variables) < set(b.variables)):
-                raise FsplitError(f"chain is not strictly increasing at {a} < {b}")
+                raise FsplitError(
+                    f"chain is not strictly increasing at {excerpt(a)} < {excerpt(b)}"
+                )
 
 
 def _verify_containment(I: IdealPresentation, P: CoordinatePrime) -> None:
     names = set(P.variables)
     unknown = names - set(I.ring.variables)
     if unknown:
-        raise NotContaining(f"{sorted(unknown)} are not ring variables")
+        raise NotContaining(f"{excerpt(sorted(unknown))} are not ring variables")
     idx = [i for i, v in enumerate(I.ring.variables) if v in names]
-    _require_in_prime(I.nonzero_generators(), idx, "generator", f"does not lie in {P}")
+    _require_in_prime(I.nonzero_generators(), idx, "generator", f"does not lie in {excerpt(P)}")
 
 
 def localize_at_coordinate_prime(I: IdealPresentation, P: CoordinatePrime):

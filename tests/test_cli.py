@@ -32,6 +32,8 @@ chain C2 = Pxy < Pall
 CUSP5 = "char = 5\nvars = x, y\nideal = y^2 - x^3\n"
 ZERO = "char = 3\nvars = x, y\nideal = 0\n"
 ZERO_SOP = ZERO + "sop = x, y\n"
+LONG_NAME = "w" * 5000
+LONG_VAR = f"char = 2\nvars = {LONG_NAME}, x\nideal = x\n"
 
 
 @pytest.fixture
@@ -43,6 +45,7 @@ def files(tmp_path):
         ("cusp5", CUSP5),
         ("zero", ZERO),
         ("zero_sop", ZERO_SOP),
+        ("long_var", LONG_VAR),
     ):
         path = tmp_path / f"{name}.ring"
         path.write_text(text, encoding="utf-8")
@@ -317,21 +320,24 @@ def test_probe_bad_thresholds_are_usage_errors(files, capsys, thresholds):
 
 
 @pytest.mark.parametrize(
-    "flags, needle",
+    "ring, flags, needle",
     [
-        (("--primes", "Pz"), "'Pz'"),
-        (("--primes", "x|x,w"), "'x,w'"),
-        (("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
-        (("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
-        (("--primes", "x,x,y"), "--primes: prime 'x,x,y' repeats a variable"),
-        (("--primes", "x|" + "z" * 5000), "prime '" + "z" * 60 + " ...' is neither"),
+        ("node3", ("--primes", "Pz"), "'Pz'"),
+        ("node3", ("--primes", "x|x,w"), "'x,w'"),
+        ("node3", ("--primes", "x", "--chains", "Px<Pq"), "'Pq'"),
+        ("node3", ("--primes", "x", "--chains", "Pxz<Px"), "not strictly increasing"),
+        ("node3", ("--primes", "x,x,y"), "--primes: prime 'x,x,y' repeats a variable"),
+        ("node3", ("--primes", "x|" + "z" * 5000), "prime '" + "z" * 60 + " ...' is neither"),
+        # the primes of a decreasing chain are cut too, not only the quoted text
+        ("long_var", ("--primes", "x", "--chains", f"{LONG_NAME},x<x"),
+         f"increasing at ({LONG_NAME[:59]} ... < (x)"),
     ],
     ids=["unknown-prime", "unknown-variable", "unknown-prime-in-chain", "decreasing-chain",
-         "repeated-variable", "long-value"],
+         "repeated-variable", "long-value", "long-prime-in-chain"],
 )
-def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, flags, needle):
+def test_probe_bad_prime_tokens_are_usage_errors(files, capsys, ring, flags, needle):
     code, out, err = run(
-        capsys, "probe", files["node3"], "--e", "1", "--thresholds", "0", *flags
+        capsys, "probe", files[ring], "--e", "1", "--thresholds", "0", *flags
     )
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]  # one line, no traceback

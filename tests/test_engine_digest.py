@@ -42,8 +42,10 @@ DIGEST = "f37785c6662a01db883393f7e9b2d01d6db1ff374a7751987e4c9c3d5ac5dd35"
 # criterion or pair order; the number of reductions can. 3728 until
 # colon_ideal returned I's basis for a divisor with a nonzero constant
 # normal form: three corpus colons (J = (y^2*z + 1, y^3), (y^3 + y^2 + 2,
-# y^3*z) and (2, ...) over F_3(t)) skip an intersection each.
-NF_CALLS = 3686
+# y^3*z) and (2, ...) over F_3(t)) skip an intersection each. 3686 until
+# colon_ideal carried its running colon into the next elimination: a colon
+# by r generators runs r eliminations instead of 2r - 1.
+NF_CALLS = 3262
 
 
 def _coefficient(field, rng):

@@ -149,9 +149,12 @@ def test_is_prime_matches_a_sieve():
 
 def test_characteristic_at_least_2_to_16_rejected():
     # q = p^e is an exponent of n^[q], so p itself must stay below 2^16
-    for p in (PSI_12, 65537, 2**61 - 1):
-        with pytest.raises(NonPrimeCharacteristic, match="2\\^16"):
+    for p in (PSI_12, 65537, 2**61 - 1, 10**5000):
+        with pytest.raises(NonPrimeCharacteristic, match="2\\^16") as info:
             PrimeField(p)
+        assert len(str(info.value)) < 200
+    # 10^5000 has too many digits for str(): the refusal names its size
+    assert "an integer of 16610 bits" in str(info.value)
     with pytest.raises(NonPrimeCharacteristic):
         RationalFunctionField(65537, ("t",))
     assert PrimeField(65521).characteristic == 65521

@@ -29,7 +29,8 @@ from fsplit import (
     validate_reduced_gb,
 )
 from fsplit.groebner import _internal, _to_poly
-from fsplit.ideals import _divide
+import fsplit.ideals
+from fsplit.ideals import _divide, _multiply
 from fsplit.splitting import _colon_multiplier
 from test_groebner import _function_field_coefficient
 
@@ -260,6 +261,58 @@ def test_divide_exact_exponent_overflow_shows_true_exponents():
         _divide_exact(x**2, x - y**40000)
     with pytest.raises(ExponentOverflow, match=r"\(0, 80000\)"):
         _divide_exact(x**2 + x * y**14464, x - y**40000)
+
+
+def _multiply_terms(f, g):
+    """f*g through ``ideals._multiply`` on working forms under the ring order."""
+    ring, order = f.ring, f.ring.order
+    product = _multiply(ring, order, _internal(f, order.key), _internal(g, order.key))
+    return _to_poly(ring, order, product)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, MonomialOrder.elimination(1)], ids=repr)
+def test_multiply_is_the_polynomial_product(order):
+    rng = random.Random(17)
+    for field in (PrimeField(5), RationalFunctionField(3, ("t",))):
+        ring = Ring(field, ("x", "y", "z"), order)
+        coefficient = _function_field_coefficient(field) if field.transcendentals else None
+        for _ in range(10):
+            f, g = (_random_poly(rng, ring, 3, coefficient) for _ in range(2))
+            assert _multiply_terms(f, g) == f * g
+        x, y, _ = ring.gens()
+        assert _multiply_terms(x + y, x - y) == x**2 - y**2  # the cross terms cancel
+
+
+def test_multiply_exponent_overflow_shows_true_exponents():
+    x, y = R5.gens()
+    with pytest.raises(ExponentOverflow, match=r"\(1, 80000\)"):
+        _multiply_terms(x + y**40000, x * y**40000)
+
+
+def test_colon_runs_one_elimination_per_generator(monkeypatch):
+    # the running colon meets each generator left after the normal form mod I
+    # in one elimination, with no intersection to fold the results together
+    ring = Ring(PrimeField(3), ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    I = ring.ideal(x * z - y**2, y * w - z**2, x * w - y * z)
+    elim = MonomialOrder.elimination(1)
+    eliminations = []
+
+    def counted(J, *args, **kwargs):
+        if J.ring.order == elim:
+            eliminations.append(1)
+        return buchberger(J, *args, **kwargs)
+
+    monkeypatch.setattr(fsplit.ideals, "buchberger", counted)
+    K = colon_ideal(frobenius_power(I, 2), I)
+    assert len(eliminations) == 3
+    # the primal colon n^[9] : K: three of K's five generators lie in n^[9]
+    nq = buchberger(frobenius_power(ring.variable_ideal(), 2))
+    outside = [g for g in K.basis if not ideal_member(g, nq)]
+    assert (len(K.basis), len(outside)) == (5, 2)
+    eliminations.clear()
+    colon_ideal(nq, K)
+    assert len(eliminations) == 2
 
 
 def _random_poly(rng, ring, max_exp=2, coefficient=None):

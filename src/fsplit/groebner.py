@@ -309,8 +309,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     ef, cf = f.leading_term(order)
     eg, cg = g.leading_term(order)
     l = _lcm(ef, eg)
-    a = f.shift(tuple(x - y for x, y in zip(l, ef))).scale(field.inv(cf))
-    b = g.shift(tuple(x - y for x, y in zip(l, eg))).scale(field.inv(cg))
+    a = ring.monomial(tuple(x - y for x, y in zip(l, ef)), field.inv(cf)) * f
+    b = ring.monomial(tuple(x - y for x, y in zip(l, eg)), field.inv(cg)) * g
     return a - b
 
 

@@ -1,7 +1,9 @@
 """Multivariate polynomials over a coefficient field, monomial orders, rings.
 
-Monomials are exponent tuples with 16-bit entries (checked: bracket powers
-multiply exponents by q and must fail loudly instead of wrapping). Orders
+Monomials are exponent tuples with 16-bit entries. Products, powers and
+bracket powers (which multiply exponents by q) must fail loudly instead of
+wrapping, and they refuse up front, from the largest exponent of each
+variable (``_refuse_overflow``). Orders
 compare via packed integer keys so term sorting and Buchberger's pair
 selection ride on native int comparison.
 
@@ -326,20 +328,20 @@ def _base_p_power(f: "Polynomial", k: int, cap: int = EXPONENT_LIMIT) -> "Polyno
     return Polynomial(ring, tuple([(x, c) for _, x, c in keyed]))
 
 
-def _add_exps(a, b):
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(x >= EXPONENT_LIMIT for x in out):
-        raise ExponentOverflow(f"monomial product overflows 16-bit exponents: {out}")
-    return out
+def _largest(terms) -> tuple:
+    """The largest exponent of each variable in ``terms``; () for no terms."""
+    return tuple(map(max, zip(*(e for e, _ in terms))))
 
 
-def _check_product(a, b) -> None:
-    """Raise ExponentOverflow at the first product of terms of a and b past 16 bits."""
-    tops = [map(max, zip(*(e for e, _ in t))) for t in (a, b)]
-    if any(x + y >= EXPONENT_LIMIT for x, y in zip(*tops)):
-        for e1, _ in a:
-            for e2, _ in b:
-                _add_exps(e1, e2)
+def _refuse_overflow(what: str, largest: tuple) -> None:
+    """Raise ExponentOverflow if some exponent in ``largest`` passes 16 bits.
+
+    S is a domain, so the largest exponent of x_j in f*g is the sum of those
+    in f and g, and in f^k and f^[q] it is k and q times that in f: each
+    bound is exact, and a result is refused exactly when it overflows.
+    """
+    if any(a >= EXPONENT_LIMIT for a in largest):
+        raise ExponentOverflow(f"{what} overflows 16-bit exponents: largest {largest}")
 
 
 # -- term arithmetic (see the module docstring) -------------------------------------
@@ -376,7 +378,7 @@ def neg_terms(a, field) -> tuple:
 
 
 def mul_terms(a, b, field, rank) -> tuple:
-    """a * b; exponents add without a bound (see ``_check_product``)."""
+    """a * b; exponents add without a bound (``Polynomial.__mul__`` checks it)."""
     acc = {}
     for e1, c1 in a:
         for e2, c2 in b:
@@ -497,7 +499,8 @@ class Polynomial:
                 return self.scale(other)
             return NotImplemented
         ring = self.ring
-        _check_product(self.terms, g.terms)
+        tops = map(operator.add, _largest(self.terms), _largest(g.terms))
+        _refuse_overflow("product", tuple(tops))
         return Polynomial(ring, mul_terms(self.terms, g.terms, ring.field, ring.order.rank))
 
     __rmul__ = __mul__
@@ -509,33 +512,25 @@ class Polynomial:
         return Polynomial(self.ring, scale_terms(self.terms, c, field))
 
     def __pow__(self, k: int):
-        """f^k by base-p digits (``_base_p_power``), with no term dropped.
-
-        The largest exponent of x_j in f^k is k times that in f, as S is a
-        domain, so an overflow is refused up front with those exponents.
-        """
+        """f^k by base-p digits (``_base_p_power``), with no term dropped."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        tops = tuple(k * max(col) for col in zip(*(e for e, _ in self.terms)))
-        if any(a >= EXPONENT_LIMIT for a in tops):
-            raise ExponentOverflow(f"power overflows 16-bit exponents: largest {tops}")
+        _refuse_overflow("power", tuple(k * a for a in _largest(self.terms)))
         return _base_p_power(self, k)
 
     def frobenius(self, e: int) -> "Polynomial":
-        """Apply the e-fold Frobenius: coefficients to the q, exponents times q."""
-        q = self.ring.field.characteristic**e
-        field = self.ring.field
-        terms = {}
-        for exps, c in self.terms:
-            new = tuple(a * q for a in exps)
-            if any(a >= EXPONENT_LIMIT for a in new):
-                raise ExponentOverflow(f"bracket power overflows 16-bit exponents: {new}")
-            terms[new] = field.frobenius(c, e)
-        return self.ring.from_terms(terms)
+        """Apply the e-fold Frobenius: coefficients to the q, exponents times q.
 
-    def shift(self, exps) -> "Polynomial":
-        """Multiply by the monomial with the given exponents."""
-        return Polynomial(self.ring, tuple((_add_exps(e, exps), c) for e, c in self.terms))
+        x -> x^q keeps every monomial order (u < v gives q*u < q*v), so the
+        scaled terms stay sorted.
+        """
+        field = self.ring.field
+        q = field.characteristic**e
+        _refuse_overflow("bracket power", tuple(q * a for a in _largest(self.terms)))
+        return Polynomial(
+            self.ring,
+            tuple((tuple(a * q for a in x), field.frobenius(c, e)) for x, c in self.terms),
+        )
 
     # -- comparison / display ---------------------------------------------------
 

@@ -11,13 +11,13 @@ zero-ideal convention (0^[q] : 0) = S. The normalized number is
 s_e = lambda / q^dim as an exact rational, and a_e = s_e * q^(dim + alpha).
 
 Everything is anchored at the origin. Each entry point, and each sweep of
-``f_signature_sequence``, sets I up once: one reduced grevlex basis of I
-rejects the unit ideal (NotArtinian) and a proper I with a constant term in a
-generator, whose V(I) misses the origin (NotContaining), and gives dim. The
-length lambda is local to the origin, but dim is the global Krull dimension
-of S/I, so s_e is wrong when a component of V(I) away from the origin has a
-larger dimension than every one through it; two strict xfails pin this,
-``test_local_value_at_the_origin`` and ``test_local_value_at_a_prime``.
+``f_signature_sequence``, sets I up once (``_origin_dimension``): it rejects
+the unit ideal (NotArtinian) and a proper I with a constant term in a
+generator, whose V(I) misses the origin (NotContaining), and gives dim, the
+Krull dimension of the local ring S_n/I*S_n, from one basis of I
+homogenized. The length lambda is local to the origin too, as n^[q] lies in
+J, so s_e is an invariant of the local ring, even when a component of V(I)
+away from the origin has a larger dimension than every one through it.
 
 After that set-up, ``_eliminate_linear`` solves out linear variables: while
 some generator is c*x_i + h, with c a nonzero field element, x_i in no other
@@ -72,6 +72,7 @@ from .artinian import is_artinian, krull_dimension, length
 from .errors import (
     DEFAULT_BUDGET,
     CostGuardExceeded,
+    ExponentOverflow,
     InternalInconsistency,
     InvalidSocle,
     NotArtinian,
@@ -90,7 +91,7 @@ from .groebner import (
     interreduce,
     normal_form,
 )
-from .ideals import colon_ideal, frobenius_power, ideal_sum
+from .ideals import _extended_ring, colon_ideal, frobenius_power, ideal_sum
 from .poly import (
     _FIELD_BITS,
     EXPONENT_LIMIT,
@@ -169,16 +170,46 @@ def _guard(ring: Ring, e: int, budget: int) -> int:
 
 
 def _origin_dimension(I: IdealPresentation) -> int:
-    """Global dim S/I from one reduced grevlex basis of I, with the origin on V(I).
+    """dim S_n/I*S_n, the Krull dimension of S/I at the origin, on V(I).
 
-    The unit ideal raises NotArtinian, and a proper I with a constant term in
-    a generator NotContaining.
+    A generator with a constant term puts the origin off V(I): the unit
+    ideal raises NotArtinian, which its reduced grevlex basis shows, and a
+    proper I NotContaining. Zero or one generator, now in n, needs no
+    basis: the dimension is n minus their number. Otherwise Lazard's method
+    takes one basis: each generator g is homogenized with a new first
+    variable h, the term x^a getting h^(deg g - |a|), under the elim(1)
+    order of ``ideals._extended_ring``. On homogeneous input it ranks the
+    monomials of one degree as the homogenized local degree order does (the
+    larger power of h first, then grevlex), so its leads with h set to 1
+    generate the leading ideal L(I) of a local degree order, and
+    dim S_n/I*S_n = dim S/L(I) (Greuel and Pfister, *A Singular
+    Introduction to Commutative Algebra*, section 1.7 and chapter 5). No
+    lead is a pure power of h, as I lies in n. For a homogeneous I no h
+    appears, and the basis is its grevlex basis.
     """
-    G = buchberger(I, GREVLEX)
-    if G.is_unit_ideal():
-        raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
-    _require_in_prime(I.nonzero_generators(), range(I.ring.nvars), "generator")
-    return krull_dimension(G)
+    ring = I.ring
+    gens = I.nonzero_generators()
+    if any(not any(x) for g in gens for x, _ in g.terms):
+        if buchberger(I, GREVLEX).is_unit_ideal():
+            raise NotArtinian("the quotient is the zero ring; splitting numbers are undefined")
+        _require_in_prime(gens, range(ring.nvars), "generator")
+    if len(gens) < 2:
+        return ring.nvars - len(gens)
+    ext = _extended_ring(ring)
+    homogenized = []
+    for k, g in enumerate(gens, start=1):
+        d = g.total_degree()
+        gap = d - min(sum(x) for x, _ in g.terms)
+        if gap >= EXPONENT_LIMIT:
+            raise ExponentOverflow(
+                f"generator {k} ({excerpt(g)}) cannot be homogenized: "
+                f"its degree gap {gap} overflows 16-bit exponents"
+            )
+        homogenized.append(ext.from_terms({(d - sum(x),) + x: c for x, c in g.terms}))
+    G = buchberger(ext.ideal(*homogenized))
+    one = ring.field.one()
+    local = [[(0, m >> _FIELD_BITS, one)] for m in G.leads]  # h set to 1: h is field 0
+    return krull_dimension(ReducedGB(ring, GREVLEX, local))
 
 
 def _require_in_prime(polys, idx, what: str, where="is not contained in the ideal of the origin"):

@@ -219,6 +219,43 @@ def build_corpus() -> list:
         )
     )
 
+    # (x^2 - x, xy - y) = (x, y) cap (x - 1) in F_3[x,y]: the line x = 1 misses
+    # the origin, where the local ring is the field: dim 0 and s_e = 1 (hand).
+    # The Gorenstein route takes the empty sop and refuses, as S/I is not
+    # Artinian
+    R = _ring(3, ("x", "y"))
+    entries.append(
+        Entry(
+            name="point_off_a_line_p3",
+            ring=R,
+            ideal=_ideal(R, "x^2 - x", "x*y - y"),
+            homogeneous=False,
+            hypersurface=False,
+            gorenstein=False,
+            expected_s={e: Fraction(1) for e in range(3)},
+            primes=(CoordinatePrime(("x", "y")),),
+        )
+    )
+
+    # (x(y - z), y(y - z)) = (x, y) cap (y - z) in F_3[x,y,z], a line and a plane
+    # through the origin: lambda = 1 at the origin for e = 1, 2 (oracle-pinned),
+    # dim 2. At P = (x, y) the plane misses V(P), as y - z is a unit in R_P, so
+    # R_P is the field F_3(z) and s_e = 1 (hand). Not Cohen-Macaulay
+    R = _ring(3, ("x", "y", "z"))
+    entries.append(
+        Entry(
+            name="line_and_plane_p3",
+            ring=R,
+            ideal=_ideal(R, "x*(y - z)", "y*(y - z)"),
+            homogeneous=True,
+            hypersurface=False,
+            connected=True,
+            gorenstein=False,
+            expected_s={0: Fraction(1), 1: Fraction(1, 9), 2: Fraction(1, 81)},
+            primes=(CoordinatePrime(("x", "y")), CoordinatePrime(("x", "y", "z"))),
+        )
+    )
+
     return entries
 
 

@@ -141,16 +141,16 @@ def test_full_prime_matches_origin_route():
         assert s_e_at_prime(entry.ideal, P, 1) == normalized_splitting_number(entry.ideal, 1)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): global dimension")
 def test_local_value_at_a_prime():
     # (x(y - z), y(y - z)) = (x, y) cap (y - z) over F_3: z is a unit at
-    # P = (x, y), so y - z is too and R_P is the field F_3(z), s_1 = 1; the
-    # line y = z of F_3(z)[x, y] misses the origin and gives the global
-    # dimension 1, so s_1 comes out 1/3
+    # P = (x, y), so y - z is too and R_P is the field F_3(z), s_1 = 1 with
+    # dim 0; the line y = z of F_3(z)[x, y] misses the origin, and its global
+    # dimension 1 would give 1/3
     R = Ring(PrimeField(3), ("x", "y", "z"))
     x, y, z = R.gens()
     I = R.ideal(x * (y - z), y * (y - z))
-    assert s_e_at_prime(I, CoordinatePrime(("x", "y")), 1).s_e == 1
+    rep = s_e_at_prime(I, CoordinatePrime(("x", "y")), 1)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
 
 
 def _chain(*names):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,17 +62,87 @@ def test_ring_mismatch():
 
 
 def test_exponent_overflow():
+    # products, powers and bracket powers name the largest exponent of each
+    # variable in the result
     x, y = R2.gens()
     f = x ** 60000
-    with pytest.raises(ExponentOverflow):
+    with pytest.raises(ExponentOverflow, match=r"^product .* largest \(120000, 0\)$"):
         f * f
-    with pytest.raises(ExponentOverflow):
+    with pytest.raises(ExponentOverflow, match=r"^product .* largest \(60001, 65536\)$"):
+        (f + y) * (x + y**65535)
+    with pytest.raises(ExponentOverflow, match=r"^bracket power .* largest \(131072, 0\)$"):
         x.frobenius(17)  # 2^17 > 16-bit range
-    # a power names the largest exponent of each variable in f^k
-    with pytest.raises(ExponentOverflow, match=r"largest \(70000, 0\)$"):
+    with pytest.raises(ExponentOverflow, match=r"^power .* largest \(70000, 0\)$"):
         x ** 70000
-    with pytest.raises(ExponentOverflow, match=r"largest \(80000, 40000\)$"):
+    with pytest.raises(ExponentOverflow, match=r"^power .* largest \(80000, 40000\)$"):
         (x**2 + y + 1) ** 40000
+
+
+GUARD_FIELDS = [PrimeField(2), PrimeField(3), RationalFunctionField(5, ("t",))]
+# small exponents, exponents whose doubles straddle 2^16, and any exponent
+guard_exps = st.one_of(
+    st.integers(0, 3),
+    st.integers(EXPONENT_LIMIT // 2 - 2, EXPONENT_LIMIT // 2 + 1),
+    st.integers(0, EXPONENT_LIMIT - 1),
+)
+
+
+@st.composite
+def guard_pairs(draw):
+    """(f, g): one to four terms each in x, y, z over F_2, F_3 or F_5(t), with
+    coefficients a + b*t, in a grevlex, lex or elim(1) ring."""
+    field = draw(st.sampled_from(GUARD_FIELDS))
+    order = draw(st.sampled_from([GREVLEX, LEX, MonomialOrder.elimination(1)]))
+    ring = Ring(field, ("x", "y", "z"), order)
+    p = field.characteristic
+    t = field.transcendental("t") if field.transcendentals else field.zero()
+
+    def coefficient(ab):
+        return field.add(field.from_int(ab[0]), field.mul(field.from_int(ab[1]), t))
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.tuples(guard_exps, guard_exps, guard_exps),
+            st.tuples(st.integers(1, p - 1), st.integers(0, p - 1)),
+            min_size=1,
+            max_size=4,
+        ))
+        return ring.from_terms({x: coefficient(ab) for x, ab in terms.items()})
+
+    return poly(), poly()
+
+
+def _largest_exponents(f):
+    return tuple(max(x[i] for x, _ in f.terms) for i in range(f.ring.nvars))
+
+
+@given(guard_pairs(), st.integers(0, 3))
+def test_one_guard_refuses_exactly_past_the_largest_exponents(pair, e):
+    f, g = pair
+    ring, field = f.ring, f.ring.field
+    # x -> x^q keeps every monomial order: frobenius keeps the scaled terms
+    # in their order, and they are the terms that from_terms sorts afresh
+    q = field.characteristic**e
+    tops = tuple(q * a for a in _largest_exponents(f))
+    if max(tops) >= EXPONENT_LIMIT:
+        with pytest.raises(ExponentOverflow, match=re.escape(f"largest {tops}") + "$"):
+            f.frobenius(e)
+    else:
+        scaled = {tuple(q * a for a in x): field.frobenius(c, e) for x, c in f.terms}
+        assert f.frobenius(e).terms == ring.from_terms(scaled).terms
+    # f * g is refused exactly when some variable's largest exponents in f
+    # and g sum past 2^16 - 1, and the refusal holds those sums
+    sums = tuple(a + b for a, b in zip(_largest_exponents(f), _largest_exponents(g)))
+    if max(sums) >= EXPONENT_LIMIT:
+        with pytest.raises(ExponentOverflow, match=re.escape(f"largest {sums}") + "$"):
+            f * g
+        return
+    model = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            x = tuple(a + b for a, b in zip(e1, e2))
+            model[x] = field.add(model.get(x, field.zero()), field.mul(c1, c2))
+    assert f * g == ring.from_terms(model)
 
 
 POWER_FIELDS = [

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fsplit import (
     GREVLEX,
     CostGuardExceeded,
+    ExponentOverflow,
     InternalInconsistency,
     InvalidSocle,
     NotArtinian,
@@ -29,12 +30,13 @@ from fsplit import (
     gorenstein_splitting_number,
     hypersurface_is_fpure,
     ideal_member,
+    intersect,
     normal_form,
     normalized_splitting_number,
     socle_generator,
     splitting_ideal,
 )
-from fsplit import splitting
+from fsplit import ideals, splitting
 from fsplit.artinian import length
 from fsplit.groebner import interreduce
 from corpus import CORPUS, sop_polynomials
@@ -123,19 +125,52 @@ def test_ideal_off_the_origin_rejected():
 
 
 def test_ideal_through_the_origin_not_rejected():
-    # (x, y) cap (x - 1): no generator has a constant term, so the check
-    # passes; the local dimension at the origin is a separate open defect
+    # (x, y) cap (x - 1): no generator has a constant term, so the check passes
     x, y = R3.gens()
     rep = normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1)
     assert isinstance(rep, SplittingReport)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): global dimension")
 def test_local_value_at_the_origin():
     # (x^2 - x, xy - y) = (x, y) cap (x - 1): the local ring at the origin is
-    # the field, so s_1 = 1; the global dimension 1 of the line x = 1 gives 1/3
+    # the field, so s_1 = 1 with dim 0; the global dimension 1 of the line
+    # x = 1 would give 1/3
     x, y = R3.gens()
-    assert normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1).s_e == 1
+    rep = normalized_splitting_number(R3.ideal(x**2 - x, x * y - y), 1)
+    assert (rep.splitting_length, rep.dim, rep.s_e) == (1, 0, 1)
+
+
+def test_gorenstein_route_refuses_the_origin_case():
+    # dim 0 at the origin takes the empty sop, and S/(I + sop) = S/I keeps the
+    # line x = 1, so it is not Artinian: a typed refusal, not a wrong value
+    x, y = R3.gens()
+    I = R3.ideal(x**2 - x, x * y - y)
+    for call in (
+        lambda: gorenstein_splitting_number(I, (), 1),
+        lambda: gorenstein_splitting_number(I, (), 1, u=x),
+        lambda: socle_generator(I, ()),
+    ):
+        with pytest.raises(NotArtinian, match="^the parameter ideal does not cut down"):
+            call()
+    with pytest.raises(NotArtinian, match="^sop has 1 elements but the quotient has dimension 0$"):
+        gorenstein_splitting_number(I, (y,), 1)
+
+
+def test_a_generator_that_cannot_be_homogenized_is_refused():
+    # x^40000*y^40000 + x has degree gap 79999, past 16-bit exponents of h:
+    # alone it needs no basis (dim n - 1), beside another generator it is refused
+    R = Ring(PrimeField(2), ("x", "y"))
+    x, y = R.gens()
+    f = x**40000 * y**40000 + x
+    rep = normalized_splitting_number(R.ideal(f), 1)
+    assert (rep.dim, rep.s_e) == (1, 1)
+    message = (
+        r"^generator 1 \(x\^40000\*y\^40000 \+ x\) cannot be homogenized: "
+        r"its degree gap 79999 overflows 16-bit exponents$"
+    )
+    for I in (R.ideal(f, y), R.ideal(f, x * y)):
+        with pytest.raises(ExponentOverflow, match=message):
+            normalized_splitting_number(I, 1)
 
 
 def test_s_zero_is_one_everywhere():
@@ -295,7 +330,7 @@ def test_sop_off_the_origin_is_refused_before_a_basis_of_A(monkeypatch, I, sop, 
         bases.clear()
         with pytest.raises(NotContaining, match=f"^{message}$"):
             call()
-        assert bases == [I]  # only _origin_dimension's basis of I
+        assert bases == []  # I has one generator or none: the origin step takes no basis
 
 
 def test_a_supplied_socle_is_checked_but_not_raised(monkeypatch):
@@ -419,13 +454,14 @@ def _twisted_cubic():
 
 
 def test_origin_step_runs_once_per_call_and_per_sweep(monkeypatch):
-    # one reduced basis of I gives both the NotContaining check and dim S/I,
-    # once per call and once per sweep, not once per e
+    # one reduced basis of I homogenized gives dim S_n/I*S_n, once per call
+    # and once per sweep, not once per e
     I = _twisted_cubic()
     on_I = []
+    homogenized = ideals._extended_ring(I.ring)
 
     def counted(J, *args, **kwargs):
-        if J is I:
+        if J.ring == homogenized:
             on_I.append(1)
         return buchberger(J, *args, **kwargs)
 
@@ -610,6 +646,13 @@ def test_metamorphic_relations(case, e, data):
         images.append(v)
     moved = base.ideal(*(_substituted(base, g, images) for g in gens))
     assert normalized_splitting_number(moved, e) == rep
+    # x_k - 1 is a unit at the origin, so I cap (x_k - 1) has the local ring
+    # of I there: the same lambda, dim and s_e, though V(x_k - 1) may be larger
+    k = data.draw(st.integers(0, n - 1))
+    unit = intersect(base.ideal(*(_substituted(base, g, x) for g in gens)),
+                     base.ideal(x[k] - 1))
+    far = normalized_splitting_number(unit.presentation(), e)
+    assert (far.splitting_length, far.dim, far.s_e) == (rep.splitting_length, rep.dim, rep.s_e)
     # a solved-out variable: S[w]/(I, w - c*m) = S/I for a monomial m of positive
     # degree or m = 0, so the solved ring must give the same numbers, and
     # splitting_ideal, which keeps the given presentation, the same length
